@@ -85,10 +85,9 @@ def _gesture(steps: int) -> List[Tuple[float, float]]:
     return [(float(i % 20), float((i * 3) % 11)) for i in range(steps)]
 
 
-def _start(name: str, compiled: Optional[bool] = None) -> LiveSession:
-    # The pin (``compiled=False``/``True``) beats the REPRO_COMPILED
-    # knob, so each timed column measures its own path regardless of the
-    # environment the benchmark runs under.
+def _start(name: str, compiled: bool = True) -> LiveSession:
+    # ``compiled=False`` pins the interpreted replay for the ``fast``
+    # column; the default session specializes on its first held replay.
     session = LiveSession(example_source(name), compiled=compiled)
     key = next(iter(session.triggers))
     session.start_drag(*key)
@@ -172,7 +171,7 @@ def _time_fast(name: str, steps: int) -> float:
 
 
 def _time_compiled(name: str, steps: int) -> float:
-    session = _start(name, compiled=True)
+    session = _start(name)
     offsets = _gesture(steps)
     # One warmup step pays the one-time specialization (it rides the
     # shared EvalCache thereafter) so the column measures steady state.

@@ -257,18 +257,16 @@ def format_serve_scaling_table(rows) -> str:
         "Serve scaling: drag-events/s, N worker threads on disjoint "
         "sessions",
         f"{'workers':>8s}{'global/s':>11s}{'shard/s':>11s}"
-        f"{'coalesce/s':>12s}{'compiled/s':>12s}{'speedup':>9s}"
-        f"{'identical':>11s}",
+        f"{'coalesce/s':>12s}{'speedup':>9s}{'identical':>11s}",
     ]
     for row in rows:
         lines.append(
             f"{row.workers:>8d}{row.global_eps:>11.1f}{row.shard_eps:>11.1f}"
-            f"{row.coalesce_eps:>12.1f}{row.compiled_eps:>12.1f}"
-            f"{row.speedup:>8.2f}x"
+            f"{row.coalesce_eps:>12.1f}{row.speedup:>8.2f}x"
             f"{'yes' if row.responses_identical else 'NO':>11s}")
     lines.append("(global = one dispatch lock, eager re-runs; shard = "
                  "per-session locks; coalesce = queued bursts applied as "
-                 "one re-run; compiled = coalesce + trace-compiled replay)")
+                 "one re-run)")
     return "\n".join(lines)
 
 

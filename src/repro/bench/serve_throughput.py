@@ -18,15 +18,10 @@ Two tables:
   - ``coalesce`` — per-session locks + cross-request drag coalescing
     (``"sync": false`` acknowledged bursts applied as one re-run at the
     next state-bearing command), the flood-tolerant client protocol the
-    per-session ordering machinery makes safe;
-  - ``compiled`` — the coalescing server with the trace compiler
-    (:mod:`repro.lang.compile`) replaying drags through specialized
-    artifacts instead of the guarded interpreter.
+    per-session ordering machinery makes safe.
 
-  The first three configurations are pinned to the interpreted replay
-  (:func:`~repro.lang.compile.force_compiled`) so the table's columns
-  measure their own tier regardless of the ``REPRO_COMPILED``
-  environment the benchmark runs under.
+  Each pass also counts the drag artifacts its server specialized
+  (:mod:`repro.lang.compile`): at most one per session it opened.
 
 Every state-bearing response is verified byte-identical to a direct
 :class:`~repro.editor.session.LiveSession` driven with the same inputs;
@@ -42,7 +37,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..editor.session import LiveSession
 from ..examples.registry import example_source
-from ..lang.compile import force_compiled
 from ..serve.manager import SessionManager
 from ..serve.protocol import ServeApp
 
@@ -173,9 +167,9 @@ class ServeScalingRow:
     global_eps: float           # drag-events/s, global dispatch lock
     shard_eps: float            # drag-events/s, per-session locks
     coalesce_eps: float         # drag-events/s, + cross-request coalescing
-    compiled_eps: float         # drag-events/s, + trace-compiled replay
     speedup: float              # coalesce_eps / global_eps
     responses_identical: bool
+    specializations: int        # most artifacts one pass specialized
 
 
 def _scaling_source(index: int) -> str:
@@ -268,38 +262,37 @@ def _drive_workers(handle, workers: int, *, rounds: int,
     return events, elapsed, identical
 
 
-#: The four server configurations of the scaling table, in column order:
-#: (coalesce bursts?, compiled replay?, one global dispatch lock?).
+#: The three server configurations of the scaling table, in column order:
+#: (coalesce bursts?, one global dispatch lock?).
 _SCALING_CONFIGS = (
-    ("global", False, False, True),
-    ("shard", False, False, False),
-    ("coalesce", True, False, False),
-    ("compiled", True, True, False),
+    ("global", False, True),
+    ("shard", False, False),
+    ("coalesce", True, False),
 )
 
 
 def _scaling_pass(workers: int, *, rounds: int, bursts: int,
-                  steps_per_burst: int, coalesce: bool, compiled: bool,
-                  global_lock: bool) -> Tuple[float, bool]:
+                  steps_per_burst: int, coalesce: bool,
+                  global_lock: bool) -> Tuple[float, bool, int]:
     """One timed pass of one server configuration; returns
-    ``(drag_events_per_sec, responses_identical)``."""
-    with force_compiled(compiled):
-        if global_lock:
-            # Baseline: the pre-sharding server — one global dispatch lock.
-            app = ServeApp(manager=SessionManager(max_sessions=workers + 1))
-            lock = threading.Lock()
+    ``(drag_events_per_sec, responses_identical, specializations)``."""
+    if global_lock:
+        # Baseline: the pre-sharding server — one global dispatch lock.
+        app = ServeApp(manager=SessionManager(max_sessions=workers + 1))
+        lock = threading.Lock()
 
-            def handle(request, _app=app, _lock=lock):
-                with _lock:
-                    return _app.handle(request)
-        else:
-            app = ServeApp(manager=SessionManager(max_sessions=workers + 1,
-                                                  shards=4))
-            handle = app.handle
-        events, elapsed, identical = _drive_workers(
-            handle, workers, rounds=rounds, bursts=bursts,
-            steps_per_burst=steps_per_burst, coalesce=coalesce)
-        return events / elapsed if elapsed else 0.0, identical
+        def handle(request, _app=app, _lock=lock):
+            with _lock:
+                return _app.handle(request)
+    else:
+        app = ServeApp(manager=SessionManager(max_sessions=workers + 1,
+                                              shards=4))
+        handle = app.handle
+    events, elapsed, identical = _drive_workers(
+        handle, workers, rounds=rounds, bursts=bursts,
+        steps_per_burst=steps_per_burst, coalesce=coalesce)
+    return (events / elapsed if elapsed else 0.0, identical,
+            app.manager.stats()["specializations"])
 
 
 def measure_serve_scaling(worker_counts: Sequence[int] = SERVE_WORKERS, *,
@@ -319,21 +312,23 @@ def measure_serve_scaling(worker_counts: Sequence[int] = SERVE_WORKERS, *,
     for workers in worker_counts:
         best = {name: 0.0 for name, *_ in _SCALING_CONFIGS}
         identical = True
+        specializations = 0
         for _ in range(repeats):
-            for name, coalesce, compiled, global_lock in _SCALING_CONFIGS:
-                eps, ok = _scaling_pass(
+            for name, coalesce, global_lock in _SCALING_CONFIGS:
+                eps, ok, specialized = _scaling_pass(
                     workers, rounds=rounds, bursts=bursts,
                     steps_per_burst=steps_per_burst, coalesce=coalesce,
-                    compiled=compiled, global_lock=global_lock)
+                    global_lock=global_lock)
                 best[name] = max(best[name], eps)
                 identical &= ok
+                specializations = max(specializations, specialized)
         rows.append(ServeScalingRow(
             workers=workers,
             global_eps=best["global"],
             shard_eps=best["shard"],
             coalesce_eps=best["coalesce"],
-            compiled_eps=best["compiled"],
             speedup=(best["coalesce"] / best["global"]
                      if best["global"] else 0.0),
-            responses_identical=identical))
+            responses_identical=identical,
+            specializations=specializations))
     return rows

@@ -11,7 +11,6 @@ Commands:
   SVG to little and round-trip verify the result through the shared run
   path (parse + run + render + draggable zones); failures quarantine
   with one-line diagnostics and per-class counters;
-* ``import-svg FILE.svg [-o OUT.little]`` — raw, unverified conversion;
 * ``tables [--out DIR]`` — regenerate the paper's evaluation tables;
 * ``study`` — print the Figure 9 user-study analysis.
 """
@@ -139,18 +138,6 @@ def _cmd_examples(args) -> int:
     for name in example_names():
         info = example_info(name)
         print(f"{name:28s} {info.title:24s} {info.description}")
-    return 0
-
-
-def _cmd_import_svg(args) -> int:
-    from .svg.importer import import_svg_file
-
-    source = import_svg_file(args.file)
-    if args.output:
-        pathlib.Path(args.output).write_text(source, encoding="utf-8")
-        print(f"wrote {args.output}")
-    else:
-        print(source)
     return 0
 
 
@@ -356,14 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="cap verification evaluation at STEPS "
                                     "interpreter steps (0 = unlimited)")
     ingest_parser.set_defaults(handler=_cmd_import)
-
-    import_parser = commands.add_parser(
-        "import-svg", help="convert an SVG file to little source "
-                           "without verification (see 'import' for the "
-                           "verified pipeline)")
-    import_parser.add_argument("file")
-    import_parser.add_argument("-o", "--output")
-    import_parser.set_defaults(handler=_cmd_import_svg)
 
     tables_parser = commands.add_parser(
         "tables", help="regenerate the paper's evaluation tables")

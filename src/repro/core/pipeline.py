@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..lang.ast import Loc
-from ..lang.compile import compiled_enabled, ensure_compiled
+from ..lang.compile import ensure_compiled
 from ..lang.eval import EvalBudget, budget_scope
 from ..lang.incremental import EvalCache, record_evaluation, reevaluate
 from ..lang.program import Program, parse_program
@@ -80,15 +80,14 @@ class SyncPipeline:
     def __init__(self, program: Program, *, heuristic: str = "fair",
                  record: bool = True,
                  budget: Optional[EvalBudget] = None,
-                 compiled: Optional[bool] = None,
+                 compiled: bool = True,
                  specialize_probe=None):
         self.program = program
         self.heuristic = heuristic
-        #: Compiled-artifact policy for the Run stage: ``True``/``False``
-        #: pin it per pipeline (the differential harness runs both paths
-        #: side by side); ``None`` defers to the ``REPRO_COMPILED``
-        #: environment knob (:func:`repro.lang.compile.compiled_enabled`)
-        #: at every run, so the knob is live even for open sessions.
+        #: Whether the Run stage may replay through compiled artifacts
+        #: (:mod:`repro.lang.compile`).  ``False`` pins the interpreted
+        #: replay: the reference the differential tests and benchmarks
+        #: compare the compiled tier against.
         self.compiled = compiled
         #: Lifecycle observer passed to
         #: :func:`~repro.lang.compile.ensure_compiled` — the serve layer
@@ -123,7 +122,7 @@ class SyncPipeline:
     def from_source(cls, source: str, *, heuristic: str = "fair",
                     record: bool = True,
                     budget: Optional[EvalBudget] = None,
-                    compiled: Optional[bool] = None,
+                    compiled: bool = True,
                     specialize_probe=None,
                     **parse_options) -> "SyncPipeline":
         return cls(parse_program(source, **parse_options),
@@ -174,23 +173,21 @@ class SyncPipeline:
                 if not change.locs:
                     self._pending_output = self.output
                     return change
-                # Consult the compiled artifact first (when the policy
-                # allows).  Its verdict is final: a ``None`` — guard flip
-                # or replay error — escalates straight to the full
-                # re-evaluation below, exactly like the interpreted
-                # replay's, so the budget is never charged twice for one
-                # step and the two paths stay step-for-step equivalent.
-                replayed = False
-                output = None
-                if (self.compiled if self.compiled is not None
-                        else compiled_enabled()):
-                    artifact = ensure_compiled(self._eval_cache,
-                                               self.specialize_probe)
-                    if artifact is not None:
-                        output = artifact.replay(self.program.rho0)
-                        replayed = True
-                if not replayed:
-                    output = reevaluate(self._eval_cache, self.program.rho0)
+                # Replay through the recording's artifact if it has one,
+                # else through the interpreter, and specialize only once
+                # that interpreted replay held: a recording that flips
+                # before ever holding is never compiled.  Either verdict
+                # is final — a ``None`` escalates straight to the full
+                # re-evaluation below, so the budget is never charged
+                # twice for one step.
+                cache = self._eval_cache
+                artifact = cache.compiled if self.compiled else None
+                if artifact is not None:
+                    output = artifact.replay(self.program.rho0)
+                else:
+                    output = reevaluate(cache, self.program.rho0)
+                    if output is not None and self.compiled:
+                        ensure_compiled(cache, self.specialize_probe)
                 if output is not None:
                     self._pending_output = output
                     return change

@@ -7,8 +7,7 @@ manipulate the n value between nmin and nmax."
 (User-*defined* sliders — §6.3 — are ordinary little shapes and are
 manipulated through zones like any other shape.)
 
-This is the Sliders stage of the core pipeline; ``repro.editor.sliders``
-re-exports it for compatibility.
+This is the Sliders stage of the core pipeline.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Headless prodirect-manipulation editor (live synchronization, §4–§5)."""
 
+from ..core.sliders import BuiltinSlider, collect_sliders
 from .drawing import add_shape, shape_literal_source
 from .session import EditorError, HoverInfo, LiveSession
-from .sliders import BuiltinSlider, collect_sliders
 
 __all__ = ["EditorError", "HoverInfo", "LiveSession", "BuiltinSlider",
            "collect_sliders", "add_shape", "shape_literal_source"]

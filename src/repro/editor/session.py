@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.changeset import EMPTY_CHANGE, FULL_CHANGE, ChangeSet
 from ..core.pipeline import SyncPipeline
+from ..core.sliders import BuiltinSlider
 from ..lang.ast import Loc
 from ..lang.diff import IDENTITY, SourceDiff, diff_source
 from ..lang.errors import LittleError
@@ -41,7 +42,6 @@ from ..lang.program import Program, parse_program
 from ..svg.canvas import Canvas
 from ..zones.assignment import CanvasAssignments
 from ..zones.triggers import MouseTrigger, TriggerResult
-from .sliders import BuiltinSlider
 
 __all__ = ["EditorError", "HoverInfo", "LiveSession"]
 
@@ -73,7 +73,7 @@ class LiveSession:
                  prelude_frozen: bool = True,
                  seed=None,
                  budget=None,
-                 compiled: Optional[bool] = None,
+                 compiled: bool = True,
                  specialize_probe=None):
         if (source is None) == (program is None):
             raise EditorError("provide exactly one of source or program")
@@ -398,7 +398,7 @@ class LiveSession:
 
     @classmethod
     def restore(cls, snapshot: dict, *, compile_fn=None,
-                budget=None, compiled: Optional[bool] = None,
+                budget=None, compiled: bool = True,
                 specialize_probe=None) -> "LiveSession":
         """Rebuild a session from a :meth:`snapshot`.
 

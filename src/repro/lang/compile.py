@@ -33,9 +33,10 @@ specialize (:func:`ensure_compiled`), so they ride along wherever the
 cache is shared — the serve layer's compile cache, ``seed_run``,
 snapshot restore — and die with it when a structural change forces a
 re-record.  A cache whose compilation failed is marked and never
-retried.  The knob: ``REPRO_COMPILED=0`` disables consultation globally
-(:func:`compiled_enabled`); pipelines can also pin the policy per
-instance.
+retried.  The pipeline specializes a recording only once an interpreted
+replay of it has held (:meth:`~repro.core.pipeline.SyncPipeline
+.eval_stage`), so a recording whose guards flip at once is never
+compiled.
 
 >>> from repro.lang.incremental import record_evaluation
 >>> from repro.lang.program import parse_program
@@ -55,9 +56,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-import threading
-from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from .ast import Loc
@@ -65,8 +63,8 @@ from .errors import LittleRuntimeError, ResourceExhausted
 from .eval import get_budget
 from .values import VCons, VNum, format_number
 
-__all__ = ["CompileUnsupported", "CompiledEvaluation", "compiled_enabled",
-           "ensure_compiled", "force_compiled", "specialize"]
+__all__ = ["CompileUnsupported", "CompiledEvaluation", "ensure_compiled",
+           "specialize"]
 
 #: Statement budget for one specialized function.  Far above the corpus
 #: (the heaviest example compiles to a few thousand statements); a
@@ -366,34 +364,3 @@ def ensure_compiled(cache, probe=None) -> Optional[CompiledEvaluation]:
     if probe is not None:
         probe("compiled")
     return compiled
-
-
-# ---------------------------------------------------------------------------
-# The REPRO_COMPILED knob
-# ---------------------------------------------------------------------------
-
-_forced = threading.local()
-
-
-@contextmanager
-def force_compiled(enabled: Optional[bool]):
-    """Pin :func:`compiled_enabled` for this thread — the benchmark
-    harness measures the interpreted and compiled paths side by side
-    regardless of the ambient ``REPRO_COMPILED``."""
-    previous = getattr(_forced, "value", None)
-    _forced.value = enabled
-    try:
-        yield
-    finally:
-        _forced.value = previous
-
-
-def compiled_enabled() -> bool:
-    """Should pipelines consult compiled artifacts?  Per-call so the
-    ``REPRO_COMPILED`` environment knob (default on; ``0`` disables) and
-    :func:`force_compiled` take effect immediately, even on sessions
-    that already exist."""
-    forced = getattr(_forced, "value", None)
-    if forced is not None:
-        return forced
-    return os.environ.get("REPRO_COMPILED", "1") != "0"

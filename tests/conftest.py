@@ -4,19 +4,7 @@ import pytest
 
 from repro.editor import LiveSession
 from repro.lang import parse_program
-from repro.lang.compile import force_compiled
 from repro.svg import Canvas
-
-
-@pytest.fixture(params=[False, True], ids=["interp", "compiled"])
-def compiled_mode(request):
-    """Run the decorated test twice: once with the drag hot path pinned
-    to the interpreted replay, once to the compiled artifact
-    (:mod:`repro.lang.compile`).  Pins via the thread-local override, so
-    it composes with — and wins over — the ``REPRO_COMPILED`` env knob
-    the serve suites sweep in CI."""
-    with force_compiled(request.param):
-        yield request.param
 
 SINE_WAVE_SOURCE = """
 (def [x0 y0 w h sep amp] [50 120 20 90 30 60])

@@ -9,11 +9,6 @@ LITTLE_SOURCE = """
 (svg [(rect 'lightblue' x y 30 40)])
 """
 
-SVG_SOURCE = (
-    '<svg xmlns="http://www.w3.org/2000/svg">'
-    '<rect x="1" y="2" width="3" height="4" fill="red"/></svg>')
-
-
 @pytest.fixture
 def little_file(tmp_path):
     path = tmp_path / "boxes.little"
@@ -171,25 +166,6 @@ class TestExamples:
         assert main(["examples", "--render", str(tmp_path / "g")]) == 0
         rendered = list((tmp_path / "g").glob("*.svg"))
         assert len(rendered) >= 50
-
-
-class TestImportSvg:
-    def test_import_prints_little(self, tmp_path, capsys):
-        path = tmp_path / "in.svg"
-        path.write_text(SVG_SOURCE, encoding="utf-8")
-        assert main(["import-svg", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert out.lstrip().startswith(";")
-        assert "['rect'" in out
-
-    def test_import_roundtrips_through_run(self, tmp_path, capsys):
-        svg_path = tmp_path / "in.svg"
-        svg_path.write_text(SVG_SOURCE, encoding="utf-8")
-        little_path = tmp_path / "out.little"
-        main(["import-svg", str(svg_path), "-o", str(little_path)])
-        capsys.readouterr()
-        main(["run", str(little_path)])
-        assert 'width="3"' in capsys.readouterr().out
 
 
 class TestStudy:

@@ -27,8 +27,7 @@ import repro.lang.compile as compile_module
 from repro.editor import LiveSession
 from repro.examples import example_names, example_source
 from repro.lang import parse_program
-from repro.lang.compile import (CompileUnsupported, compiled_enabled,
-                                ensure_compiled, force_compiled, specialize)
+from repro.lang.compile import CompileUnsupported, ensure_compiled, specialize
 from repro.lang.errors import LittleError, ResourceExhausted
 from repro.lang.eval import EvalBudget
 from repro.lang.incremental import record_evaluation
@@ -145,12 +144,12 @@ def test_property_lockstep(seed, name):
 def test_guard_flip_falls_back_and_respecializes():
     """A change that flips a recorded guard makes the artifact answer
     None, the interpreter re-records, and the *new* recording
-    re-specializes on the next incremental step."""
+    re-specializes once an interpreted replay of it holds."""
     session = LiveSession(example_source("sine_wave_of_boxes"),
                           compiled=True)
     key = sorted(session.triggers)[0]
     session.start_drag(*key)
-    session.drag(7.0, 3.0)          # guards hold: artifact built and used
+    session.drag(7.0, 3.0)          # guards hold: artifact built
     first_cache = session.pipeline._eval_cache
     assert first_cache.compiled is not None
     session.release()
@@ -162,7 +161,7 @@ def test_guard_flip_falls_back_and_respecializes():
     assert second_cache.compiled is None        # not yet re-specialized
     key = sorted(session.triggers)[0]
     session.start_drag(*key)
-    session.drag(5.0, 5.0)          # next step specializes the new cache
+    session.drag(5.0, 5.0)          # held replay specializes the new cache
     assert session.pipeline._eval_cache.compiled is not None
     session.release()
     fresh = LiveSession(session.source(), compiled=False)
@@ -331,33 +330,12 @@ def test_artifact_shared_across_sessions_compiles_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The REPRO_COMPILED knob
+# When a recording is specialized
 # ---------------------------------------------------------------------------
 
-def test_compiled_enabled_env_knob(monkeypatch):
-    with force_compiled(None):
-        monkeypatch.delenv("REPRO_COMPILED", raising=False)
-        assert compiled_enabled()
-        monkeypatch.setenv("REPRO_COMPILED", "0")
-        assert not compiled_enabled()
-        monkeypatch.setenv("REPRO_COMPILED", "1")
-        assert compiled_enabled()
-
-
-def test_force_compiled_overrides_env(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILED", "0")
-    with force_compiled(True):
-        assert compiled_enabled()
-        with force_compiled(False):
-            assert not compiled_enabled()
-        assert compiled_enabled()
-    assert not compiled_enabled()
-
-
-def test_pipeline_pin_beats_knob(monkeypatch):
-    """A pipeline constructed with ``compiled=False`` never consults the
-    artifact even when the knob is on (and vice versa)."""
-    monkeypatch.setenv("REPRO_COMPILED", "1")
+def test_pipeline_pin_beats_knob():
+    """A session pinned with ``compiled=False`` never specializes or
+    consults an artifact: it is the interpreted reference."""
     session = LiveSession(example_source("three_boxes"), compiled=False)
     key = sorted(session.triggers)[0]
     session.start_drag(*key)
@@ -366,21 +344,31 @@ def test_pipeline_pin_beats_knob(monkeypatch):
     assert session.pipeline._eval_cache.compiled is None
 
 
-def test_compiled_mode_fixture_roundtrip(compiled_mode):
-    """The shared fixture drives both paths through a real drag."""
-    session = LiveSession(example_source("three_boxes"))
-    key = sorted(session.triggers)[0]
-    session.start_drag(*key)
-    session.drag(8.0, 1.0)
-    session.release()
-    cache = session.pipeline._eval_cache
-    if compiled_mode:
-        assert cache.compiled is not None
-    else:
-        assert cache.compiled is None
-    fresh = LiveSession(session.source(), compiled=False)
-    assert fresh.export_svg(include_hidden=True) == \
-        session.export_svg(include_hidden=True)
+@pytest.mark.parametrize("name", ["color_picker", "sliders"])
+def test_flip_heavy_programs_rarely_specialize(name):
+    """Programs whose guards flip on most steps (every flip re-records)
+    specialize only recordings an interpreted replay has held, not one
+    per flip; each step still matches the interpreted reference."""
+    events = []
+    base = parse_program(example_source(name))
+    compiled = LiveSession(program=base, specialize_probe=events.append)
+    interp = LiveSession(program=base, compiled=False)
+    steps = 0
+    for key in sorted(compiled.triggers)[:10]:
+        for session in (interp, compiled):
+            session.start_drag(*key)
+        for step in range(30):
+            dx, dy = float(step % 20), float((step * 3) % 11)
+            for session in (interp, compiled):
+                session.drag(dx, dy)
+            assert compiled.export_svg(include_hidden=True) == \
+                interp.export_svg(include_hidden=True)
+            steps += 1
+        for session in (interp, compiled):
+            session.release()
+    specializations = events.count("compiled")
+    assert steps >= 90
+    assert specializations <= steps // 10, (specializations, steps)
 
 
 def test_artifact_answers_match_interpreter_verdicts():

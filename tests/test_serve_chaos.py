@@ -201,16 +201,13 @@ class TestSpecializeFaults:
     session is quarantined."""
 
     def test_specialize_fault_degrades_to_interpreter_identically(self):
-        from repro.lang.compile import force_compiled
-
         source = TEMPLATE.format(v=10)
         ops = gesture_ops(4)
-        with force_compiled(True):
-            plan = FaultPlan({"compile.specialize": 1.0}, seed=SEED)
-            faulted_app = ServeApp(faults=plan)
-            _, faulted = drive_script(faulted_app, source, ops)
-            clean_app = ServeApp()
-            _, clean = drive_script(clean_app, source, ops)
+        plan = FaultPlan({"compile.specialize": 1.0}, seed=SEED)
+        faulted_app = ServeApp(faults=plan)
+        _, faulted = drive_script(faulted_app, source, ops)
+        clean_app = ServeApp()
+        _, clean = drive_script(clean_app, source, ops)
         # never a wrong/missing answer (loc idents canonicalized: the
         # global counter differs between the two apps)
         assert canonicalize(faulted) == canonicalize(clean)
