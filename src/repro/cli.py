@@ -115,8 +115,7 @@ def _cmd_serve(args) -> int:
 
     return run_server(host=args.host, port=args.port,
                       max_sessions=args.max_sessions, shards=args.shards,
-                      workers=args.workers, verbose=args.verbose,
-                      state_dir=args.state_dir,
+                      verbose=args.verbose, state_dir=args.state_dir,
                       eval_budget=_eval_budget(args.eval_budget),
                       faults=plan_from_env())
 
@@ -290,10 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="independent session shards (each with "
                                    "its own lock, LRU budget, and "
                                    "snapshot store)")
-    serve_parser.add_argument("--workers", type=int, default=0,
-                              help="max requests dispatched concurrently "
-                                   "(0 = unbounded; same-session requests "
-                                   "always serialize)")
     serve_parser.add_argument("--verbose", action="store_true",
                               help="log every request to stderr")
     serve_parser.add_argument("--eval-budget", type=int, default=0,

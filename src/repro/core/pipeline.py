@@ -42,7 +42,9 @@ and the release-latency benchmark).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..lang.ast import Loc
 from ..lang.compile import ensure_compiled
@@ -59,6 +61,13 @@ from .changeset import EMPTY_CHANGE, FULL_CHANGE, ChangeSet
 from .sliders import BuiltinSlider, collect_sliders
 
 __all__ = ["SyncPipeline"]
+
+#: Every attribute a stage writes — what :meth:`SyncPipeline.transaction`
+#: saves and restores.
+_STAGE_FIELDS = ("program", "output", "canvas", "assignments", "triggers",
+                 "sliders", "_eval_cache", "_pending_output",
+                 "_shape_analyses", "_shape_sigs", "_slider_idents")
+_stage_state = attrgetter(*_STAGE_FIELDS)
 
 
 class SyncPipeline:
@@ -101,10 +110,9 @@ class SyncPipeline:
         #: every evaluation this pipeline performs (fresh counters per
         #: run).  A runaway program then fails the Run stage with
         #: :class:`~repro.lang.errors.ResourceExhausted` instead of
-        #: wedging the thread; the stage leaves its caches untouched on
-        #: failure, so the caller can roll back by re-installing the
-        #: previous program.  The budget must not be shared with another
-        #: thread's pipeline (counters are mutable): clone per pipeline.
+        #: wedging the thread; run it inside :meth:`transaction` to roll
+        #: back.  The budget must not be shared with another thread's
+        #: pipeline (counters are mutable): clone per pipeline.
         self.budget = budget
         self.output = None
         self.canvas: Optional[Canvas] = None
@@ -128,6 +136,25 @@ class SyncPipeline:
         return cls(parse_program(source, **parse_options),
                    heuristic=heuristic, record=record, budget=budget,
                    compiled=compiled, specialize_probe=specialize_probe)
+
+    # -- transactions ------------------------------------------------------------
+
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Run a block of stage calls atomically: if it raises, every
+        field a stage writes is put back, so the pipeline again describes
+        the program installed before the block.
+
+        Stages replace their cached objects rather than mutating them,
+        which makes restoring the saved references a complete rollback.
+        """
+        saved = _stage_state(self)
+        try:
+            yield
+        except BaseException:
+            for name, value in zip(_STAGE_FIELDS, saved):
+                setattr(self, name, value)
+            raise
 
     # -- program replacement ---------------------------------------------------
 
@@ -164,9 +191,7 @@ class SyncPipeline:
         change = FULL_CHANGE if change is None else change
         # One budget scope per Run: a guarded replay that flips into a
         # full re-evaluation spends from the same allowance — it is one
-        # user action either way.  Failure (ResourceExhausted, any
-        # LittleError) propagates *before* any cache assignment below, so
-        # the pipeline still describes the previously installed program.
+        # user action either way.
         with budget_scope(self.budget):
             if (not change.structural and self._eval_cache is not None
                     and self.output is not None):
@@ -263,21 +288,24 @@ class SyncPipeline:
         # objects.  Revalidate that per affected shape by identity
         # signature; re-analyze (and re-choose globally — the fair
         # heuristic's rotation couples zones across shapes) only if a
-        # signature fails the proof.
+        # signature fails the proof.  The lists are copied, not written
+        # into: a transaction may hold the previous ones.
         rechoose = False
+        sigs, analyses = list(self._shape_sigs), list(self._shape_analyses)
         for index in sorted(canvas.shapes_affected(change)):
             shape = canvas[index]
             sig = shape.trace_sig()
-            if sig == self._shape_sigs[index]:
+            if sig == sigs[index]:
                 continue
-            self._shape_sigs[index] = sig
+            sigs[index] = sig
             fresh = analyze_shape(canvas, shape)
-            if fresh != self._shape_analyses[index]:
+            if fresh != analyses[index]:
                 rechoose = True
-            self._shape_analyses[index] = fresh
+            analyses[index] = fresh
+        self._shape_sigs, self._shape_analyses = sigs, analyses
         if rechoose:
             self.assignments = choose_assignments(
-                canvas, [analysis for per_shape in self._shape_analyses
+                canvas, [analysis for per_shape in analyses
                          for analysis in per_shape], self.heuristic)
         return self.assignments
 

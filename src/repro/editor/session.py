@@ -64,7 +64,15 @@ class HoverInfo:
 
 
 class LiveSession:
-    """A headless Sketch-n-Sketch editing session."""
+    """A headless Sketch-n-Sketch editing session.
+
+    Each command (:meth:`drag`, :meth:`release`, :meth:`set_slider`,
+    :meth:`edit_source`, :meth:`undo`) does its pipeline work inside one
+    :meth:`~repro.core.pipeline.SyncPipeline.transaction` and changes its
+    own state only after that returns, so a command that raises leaves the
+    session exactly as it was — a failed release keeps the gesture in
+    flight.
+    """
 
     def __init__(self, source: Optional[str] = None, *,
                  program: Optional[Program] = None,
@@ -181,13 +189,8 @@ class LiveSession:
         drag start, exactly as in §4.1's τ(dx, dy)."""
         if self._drag_trigger is None or self._drag_base is None:
             raise EditorError("drag without start_drag")
-        previous_offsets = self._drag_offsets
-        previous_result = self._last_result
-        self._drag_offsets = (dx, dy)
         result = self._drag_trigger(dx, dy)
-        self._last_result = result
         if result.bindings:
-            previous = self.pipeline.program
             program = self._drag_base.substitute(result.bindings)
             # The substitution (and hence ``last_change``) is relative to
             # the drag *base*, but the pipeline's state is at the previous
@@ -195,23 +198,14 @@ class LiveSession:
             # bounds the step-over-step difference (a loc dragged away and
             # back to its base value appears only in the previous one).
             step_change = program.last_change
-            if previous is not self._drag_base:
-                step_change = step_change.union(previous.last_change)
-            self.pipeline.replace_program(program, step_change)
-            try:
+            if self.program is not self._drag_base:
+                step_change = step_change.union(self.program.last_change)
+            with self.pipeline.transaction():
+                self.pipeline.replace_program(program, step_change)
                 effective = self.pipeline.run_stage(step_change)
-            except LittleError:
-                # A step that fails to run (a budget trip, a domain error
-                # the solver pushed into a literal) leaves the pipeline's
-                # caches at the previous step — the Run stage mutates them
-                # only on success — so re-installing the previous program
-                # is a complete rollback; the gesture stays in flight at
-                # its last good offsets.
-                self.pipeline.replace_program(previous, EMPTY_CHANGE)
-                self._drag_offsets = previous_offsets
-                self._last_result = previous_result
-                raise
             self._gesture_change = self._gesture_change.union(effective)
+        self._drag_offsets = (dx, dy)
+        self._last_result = result
         return result
 
     def release(self) -> None:
@@ -221,13 +215,23 @@ class LiveSession:
         the gesture's accumulated change set."""
         if self._drag_base is None:
             raise EditorError("release without start_drag")
-        if self.program is not self._drag_base:
+        with self.pipeline.transaction():
+            self.pipeline.prepare(self._gesture_change)
+        self._end_gesture(self.program)
+
+    def _end_gesture(self, dragged: Program) -> None:
+        """Commit the drag in flight, which left the session at
+        ``dragged`` and whose Prepare already ran: push its base onto the
+        history if it changed the program, and clear it."""
+        if dragged is not self._drag_base:
             self.history.append(self._drag_base)
+        self._clear_gesture()
+
+    def _clear_gesture(self) -> None:
         self._drag_base = None
         self._drag_trigger = None
         self._drag_key = None
         self._drag_offsets = None
-        self.pipeline.prepare(self._gesture_change)
         self._gesture_change = EMPTY_CHANGE
 
     def drag_zone(self, shape_index: int, zone_name: str, dx: float,
@@ -249,18 +253,10 @@ class LiveSession:
             # No-op drag to the current value: no history entry, no re-run.
             return
         previous = self.program
+        with self.pipeline.transaction():
+            self.pipeline.run(self.pipeline.replace_program(
+                previous.substitute({loc: clamped})))
         self.history.append(previous)
-        program = previous.substitute({loc: clamped})
-        change = self.pipeline.replace_program(program)
-        try:
-            self.pipeline.run(change)
-        except LittleError:
-            # Same discipline as ``edit_source``: a slider move whose
-            # program fails to run is rolled back atomically.
-            self.history.pop()
-            self.pipeline.replace_program(previous, FULL_CHANGE)
-            self.pipeline.run(FULL_CHANGE)
-            raise
 
     # -- source edits (§4.1, the other half of the loop) ---------------------------
 
@@ -275,30 +271,28 @@ class LiveSession:
         structural edit re-runs from scratch with surviving literals
         re-keyed to their old locations.  The previous program is pushed
         onto the undo history (identity edits excepted), and an in-flight
-        drag gesture is committed first.  The edit is atomic: a parse
+        drag gesture is released first.  The edit is atomic: a parse
         error propagates as :class:`~repro.lang.errors.LittleSyntaxError`
         before any state changes, and an edit whose program fails to
-        *run* is rolled back — the session stays on its previous program
-        either way.  Returns the :class:`~repro.lang.diff.SourceDiff`.
+        *run* (or whose gesture fails to release) changes nothing either.
+        Returns the :class:`~repro.lang.diff.SourceDiff`.
         """
         diff = diff_source(self.program, text)
-        if self._drag_base is not None:
-            self.release()
-        if diff.kind == IDENTITY:
-            # Same program, new text: adopt it without a history entry or
-            # a re-run — ρ0 is value-identical, so the existing triggers
-            # and caches stay exact.
-            self.pipeline.replace_program(diff.program, diff.change)
-            return diff
         previous = self.program
-        self.history.append(previous)
-        try:
-            self.pipeline.edit_program(diff.program, diff.change)
-        except LittleError:
-            self.history.pop()
-            self.pipeline.replace_program(previous, FULL_CHANGE)
-            self.pipeline.run(FULL_CHANGE)
-            raise
+        with self.pipeline.transaction():
+            if self._drag_base is not None:
+                self.pipeline.prepare(self._gesture_change)
+            if diff.kind == IDENTITY:
+                # Same program, new text: adopt it without a history entry
+                # or a re-run — ρ0 is value-identical, so the existing
+                # triggers and caches stay exact.
+                self.pipeline.replace_program(diff.program, diff.change)
+            else:
+                self.pipeline.edit_program(diff.program, diff.change)
+        if self._drag_base is not None:
+            self._end_gesture(previous)
+        if diff.kind != IDENTITY:
+            self.history.append(previous)
         return diff
 
     # -- undo (§6.2) ----------------------------------------------------------------
@@ -306,8 +300,6 @@ class LiveSession:
     def undo(self) -> None:
         if not self.history:
             raise EditorError("nothing to undo")
-        restored = self.history.pop()
-        current = self.pipeline.program
         if self._drag_base is not None:
             # Undo during an in-flight drag aborts the gesture: the
             # pipeline state is then more than one substitution away from
@@ -316,28 +308,16 @@ class LiveSession:
             change = FULL_CHANGE
         else:
             # Between user actions the current program was derived from
-            # the popped one by a single step whose ``last_change`` bounds
+            # the restored one by a single step whose ``last_change`` bounds
             # the difference: a substitution (drag commit, slider move,
             # value-only source edit) names exactly the touched locations,
             # and a structural source edit carries ``FULL_CHANGE``.
-            change = current.last_change
-        self.pipeline.replace_program(restored, change)
-        try:
-            self.pipeline.run(change)
-        except LittleError:
-            # Failed undo (e.g. the restored program trips a since-
-            # tightened budget): put the entry back and stay where we
-            # were — an in-flight gesture is likewise kept in flight.
-            self.history.append(restored)
-            self.pipeline.replace_program(current, FULL_CHANGE)
-            self.pipeline.run(FULL_CHANGE)
-            raise
-        if self._drag_base is not None:
-            self._drag_base = None
-            self._drag_trigger = None
-            self._drag_key = None
-            self._drag_offsets = None
-            self._gesture_change = EMPTY_CHANGE
+            change = self.program.last_change
+        with self.pipeline.transaction():
+            self.pipeline.run(self.pipeline.replace_program(
+                self.history[-1], change))
+        self.history.pop()
+        self._clear_gesture()
 
     # -- snapshot / restore ------------------------------------------------------
 

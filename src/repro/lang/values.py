@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 from .ast import Expr, Pattern
+from .errors import SvgError
 from ..trace.trace import Trace
 
 
@@ -101,13 +102,16 @@ def from_pylist(values) -> Value:
 
 
 def to_pylist(value: Value) -> list:
-    """Flatten a little list value into a Python list (must be nil-terminated)."""
+    """Flatten a little list value into a Python list (must be nil-terminated).
+
+    Every caller reads program output as SVG, so an improper list is
+    reported as the :class:`~repro.lang.errors.SvgError` it causes there."""
     items = []
     while isinstance(value, VCons):
         items.append(value.head)
         value = value.tail
     if not isinstance(value, VNil):
-        raise TypeError(f"improper list (tail is {type(value).__name__})")
+        raise SvgError(f"improper list (tail is {type(value).__name__})")
     return items
 
 

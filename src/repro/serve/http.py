@@ -7,9 +7,7 @@
 **concurrently**: the protocol layer serializes only commands for the
 same session (per-session locks in
 :class:`~repro.serve.manager.SessionManager`), so requests for different
-sessions execute in parallel on the server threads.  An optional
-``workers`` bound caps in-flight dispatches with a semaphore — excess
-requests queue at the gate instead of oversubscribing the interpreter.
+sessions execute in parallel on the server threads.
 
 Run it from the CLI (``repro serve --port 8000 --shards 4``) or embed it::
 
@@ -24,7 +22,6 @@ import signal
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from threading import BoundedSemaphore
 from typing import Optional
 
 from .persist import StatePersister, load_state
@@ -91,12 +88,7 @@ class _Handler(BaseHTTPRequestHandler):
         except (json.JSONDecodeError, UnicodeDecodeError):
             self._send_error(400, "bad_json", "request body is not JSON")
             return
-        gate = self.server.dispatch_gate
-        if gate is None:
-            response = self.server.app.handle(request)
-        else:
-            with gate:
-                response = self.server.app.handle(request)
+        response = self.server.app.handle(request)
         status = 200
         if not response.get("ok"):
             status = response.get("error", {}).get("status", 400)
@@ -112,31 +104,21 @@ class _Server(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, address, app: ServeApp, *, verbose: bool = False,
-                 workers: int = 0):
+    def __init__(self, address, app: ServeApp, *, verbose: bool = False):
         super().__init__(address, _Handler)
         self.app = app
-        #: ``None`` = unbounded concurrent dispatch (per-session locks
-        #: still order same-session requests); N > 0 = at most N
-        #: requests inside ``ServeApp.handle`` at once.  The bound
-        #: exists to stop interpreter oversubscription, not to schedule
-        #: fairly: a slot is held while a request waits on its session
-        #: lock, so size it above the expected same-session queue depth
-        #: or a flood on one session can stall others at the gate.
-        self.dispatch_gate = BoundedSemaphore(workers) if workers > 0 \
-            else None
         self.verbose = verbose
 
 
 def make_server(host: str, port: int, app: Optional[ServeApp] = None, *,
-                verbose: bool = False, workers: int = 0) -> _Server:
+                verbose: bool = False) -> _Server:
     """Bind (but do not start) a protocol server; ``port=0`` auto-picks."""
     return _Server((host, port), app if app is not None else ServeApp(),
-                   verbose=verbose, workers=workers)
+                   verbose=verbose)
 
 
 def run_server(host: str = "127.0.0.1", port: int = 8000, *,
-               max_sessions: int = 64, shards: int = 4, workers: int = 0,
+               max_sessions: int = 64, shards: int = 4,
                verbose: bool = False, state_dir: Optional[str] = None,
                eval_budget=None, faults=None) -> int:
     """The CLI entry point: serve until interrupted.
@@ -167,7 +149,7 @@ def run_server(host: str = "127.0.0.1", port: int = 8000, *,
                   f"{state_dir}"
                   + (f" ({corrupt} corrupt file(s) skipped)"
                      if corrupt else ""))
-    server = make_server(host, port, app, verbose=verbose, workers=workers)
+    server = make_server(host, port, app, verbose=verbose)
     draining = threading.Event()
 
     def _drain(signum, frame):
@@ -185,7 +167,6 @@ def run_server(host: str = "127.0.0.1", port: int = 8000, *,
     nshards = len(app.manager.shards)
     print(f"repro serve: listening on http://{bound_host}:{bound_port}/api "
           f"(max {max_sessions} live sessions over {nshards} shards"
-          f"{f', {workers} workers' if workers else ''}"
           f"{f', state in {state_dir}' if state_dir else ''}; "
           f"POST JSON, GET /healthz)")
     try:

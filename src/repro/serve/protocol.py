@@ -200,9 +200,8 @@ class ServeApp:
         except LittleSyntaxError as error:
             return ProtocolError("parse_error", str(error)).to_response()
         except ResourceExhausted as error:
-            # The session layer already rolled the session back to its
-            # pre-command state (like ``edit_source`` does for run
-            # failures), so refusing the command leaves state untouched.
+            # A failed session command leaves the session as it was, so
+            # refusing the command leaves state untouched.
             self.manager.note_limit_error()
             response = ProtocolError("program_limit", str(error),
                                      status=422).to_response()
@@ -250,6 +249,16 @@ class ServeApp:
                 "svg": session.export_svg(),
                 "shapes": len(session.canvas),
                 "history": len(session.history)}
+
+    def _committed(self, sid: str, session: LiveSession, **fields) -> dict:
+        """The response of a command that committed a new session state:
+        refresh the last-good snapshot, then report the state, ``fields``
+        and the session's new ``seq``."""
+        self.manager.update_last_good(sid, session)
+        response = self._state(session)
+        response.update(session=sid, **fields,
+                        seq=self.manager.bump_seq(sid))
+        return response
 
     @staticmethod
     def _slider_state(session: LiveSession) -> list:
@@ -376,19 +385,12 @@ class ServeApp:
             # ``parse_error``) leaves the session exactly as it was.
             diff = session.edit_source(source)
             self.manager.record_edit(sid, diff.kind)
-            self.manager.update_last_good(sid, session)
-            response = self._state(session)
-            response.update({
-                "session": sid,
-                "edit": diff.kind,
-                "structural": diff.change.structural,
-                "changed": sorted(loc.display()
-                                  for loc in diff.change.locs),
-                "active_zones": session.active_zone_count(),
-                "sliders": self._slider_state(session),
-                "seq": self.manager.bump_seq(sid),
-            })
-            return response
+            return self._committed(
+                sid, session, edit=diff.kind,
+                structural=diff.change.structural,
+                changed=sorted(loc.display() for loc in diff.change.locs),
+                active_zones=session.active_zone_count(),
+                sliders=self._slider_state(session))
 
     def _cmd_release(self, request: dict) -> dict:
         sid = _field(request, "session", str)
@@ -400,12 +402,8 @@ class ServeApp:
                                     f"session {sid} has no drag in flight",
                                     status=409)
             session.release()
-            self.manager.update_last_good(sid, session)
-            response = self._state(session)
-            response.update({"session": sid,
-                             "active_zones": session.active_zone_count(),
-                             "seq": self.manager.bump_seq(sid)})
-            return response
+            return self._committed(
+                sid, session, active_zones=session.active_zone_count())
 
     def _cmd_set_slider(self, request: dict) -> dict:
         sid = _field(request, "session", str)
@@ -423,12 +421,8 @@ class ServeApp:
                     "no_slider", f"no slider named {name!r}; available: "
                     f"{sorted(loc.display() for loc in session.sliders)}",
                     status=404)
-            self.manager.update_last_good(sid, session)
-            response = self._state(session)
-            response.update({"session": sid, "loc": name,
-                             "value": session.sliders[loc].value,
-                             "seq": self.manager.bump_seq(sid)})
-            return response
+            return self._committed(sid, session, loc=name,
+                                   value=session.sliders[loc].value)
 
     def _cmd_undo(self, request: dict) -> dict:
         sid = _field(request, "session", str)
@@ -440,11 +434,7 @@ class ServeApp:
                                     f"session {sid} has an empty history",
                                     status=409)
             session.undo()
-            self.manager.update_last_good(sid, session)
-            response = self._state(session)
-            response["session"] = sid
-            response["seq"] = self.manager.bump_seq(sid)
-            return response
+            return self._committed(sid, session)
 
     def _cmd_render(self, request: dict) -> dict:
         sid = _field(request, "session", str)

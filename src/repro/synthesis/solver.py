@@ -11,7 +11,9 @@ counting occurrences of the unknown and dividing the residual.  ``SolveB``
 handles *single-occurrence* equations top-down using inverses of primitive
 operations.  ``solve_one`` tries A then B, exactly as Figure 6's overall
 solver.  "In practice, SolveB subsumes SolveA on virtually all equations
-encountered in our examples."
+encountered in our examples."  It is :func:`compile_solve_one`, the form
+a drag trigger stages once per ``(ρ, ℓ, t)``, applied to one target, so
+the statistics measure the same code the live drag runs.
 
 ``solve_linear`` is a strictly-more-general helper used by the Figure 1D
 enumeration, where the paper exhibits candidate updates (ρ4 = [ℓ1 → 1.75])
@@ -93,34 +95,47 @@ def solve_addition_only(rho: Mapping[Loc, float], loc: Loc, target: float,
 
 def solve_single_occurrence(rho: Mapping[Loc, float], loc: Loc,
                             target: float, trace: Trace) -> float:
-    """``SolveB`` (Figure 6B): recursively peel operators off the trace,
-    applying inverse operations, until the unknown location remains."""
+    """``SolveB`` (Figure 6B): peel operators off the trace, applying
+    inverse operations, until the unknown location remains."""
+    return _apply_inverses(_compile_single_occurrence(rho, loc, trace),
+                           target)
+
+
+def _compile_single_occurrence(rho: Mapping[Loc, float], loc: Loc,
+                               trace: Trace):
+    """The descent of SolveB as data: a list of ``(inverse, op, known)``
+    steps to apply to the target in order."""
     if occurrences(trace, loc) != 1:
         raise SolverFailure(f"{loc.display()} must occur exactly once")
-    return _solve_b(rho, loc, target, trace)
-
-
-def _solve_b(rho: Mapping[Loc, float], loc: Loc, target: float,
-             trace: Trace) -> float:
-    if isinstance(trace, Loc):
-        if trace == loc:
-            return target
+    steps = []
+    node = trace
+    while not isinstance(node, Loc):
+        if len(node.args) == 1:
+            steps.append((_invert_unary, node.op, None))
+            node = node.args[0]
+        elif len(node.args) == 2:
+            left, right = node.args
+            if occurrences(left, loc) == 1:
+                steps.append((_invert_binary_right, node.op,
+                              _eval_known(rho, right)))
+                node = left
+            else:
+                steps.append((_invert_binary_left, node.op,
+                              _eval_known(rho, left)))
+                node = right
+        else:
+            raise SolverFailure(f"operator {node.op!r} has no inverse")
+    if node != loc:
         raise SolverFailure("descended to the wrong location")
-    if len(trace.args) == 1:
-        return _solve_b(rho, loc, _invert_unary(trace.op, target),
-                        trace.args[0])
-    if len(trace.args) == 2:
-        left, right = trace.args
-        if occurrences(left, loc) == 1:
-            known = _eval_known(rho, right)
-            return _solve_b(rho, loc,
-                            _invert_binary_right(trace.op, known, target),
-                            left)
-        known = _eval_known(rho, left)
-        return _solve_b(rho, loc,
-                        _invert_binary_left(trace.op, known, target),
-                        right)
-    raise SolverFailure(f"operator {trace.op!r} has no inverse")
+    return steps
+
+
+def _apply_inverses(steps, target: float) -> float:
+    """Solve for the unknown by applying SolveB's steps to ``target``."""
+    for invert, op, known in steps:
+        target = invert(op, target) if known is None \
+            else invert(op, known, target)
+    return target
 
 
 def _eval_known(rho: Mapping[Loc, float], trace: Trace) -> float:
@@ -229,13 +244,7 @@ def solve_one(rho: Mapping[Loc, float], loc: Loc, target: float,
     trace and checked against the target — guarding against inverse-branch
     mismatches (e.g. arccos picking the wrong branch).
     """
-    try:
-        solution = solve_addition_only(rho, loc, target, trace)
-    except SolverFailure:
-        solution = solve_single_occurrence(rho, loc, target, trace)
-    if verify:
-        _verify(rho, loc, target, trace, solution)
-    return solution
+    return compile_solve_one(rho, loc, trace, verify=verify)(target)
 
 
 def compile_solve_one(rho: Mapping[Loc, float], loc: Loc, trace: Trace, *,
@@ -273,53 +282,12 @@ def compile_solve_one(rho: Mapping[Loc, float], loc: Loc, trace: Trace, *,
         if steps is None:
             solution = (target - partial) / count
         else:
-            solution = target
-            for invert, op, known in steps:
-                solution = invert(op, solution) if known is None \
-                    else invert(op, known, solution)
+            solution = _apply_inverses(steps, target)
         if check is not None:
-            check[loc] = solution
-            try:
-                value = eval_trace(trace, check)
-            except LittleRuntimeError as exc:
-                raise SolverFailure(
-                    f"solution does not evaluate: {exc}") from exc
-            if not math.isclose(value, target,
-                                rel_tol=_REL_TOL, abs_tol=_ABS_TOL):
-                raise SolverFailure(
-                    f"solution check failed: got {value}, wanted {target}")
+            _verify(check, loc, target, trace, solution)
         return solution
 
     return solve
-
-
-def _compile_single_occurrence(rho: Mapping[Loc, float], loc: Loc,
-                               trace: Trace):
-    """The descent of :func:`_solve_b` as data: a list of
-    ``(inverse, op, known)`` steps to apply to the target in order."""
-    if occurrences(trace, loc) != 1:
-        raise SolverFailure(f"{loc.display()} must occur exactly once")
-    steps = []
-    node = trace
-    while not isinstance(node, Loc):
-        if len(node.args) == 1:
-            steps.append((_invert_unary, node.op, None))
-            node = node.args[0]
-        elif len(node.args) == 2:
-            left, right = node.args
-            if occurrences(left, loc) == 1:
-                steps.append((_invert_binary_right, node.op,
-                              _eval_known(rho, right)))
-                node = left
-            else:
-                steps.append((_invert_binary_left, node.op,
-                              _eval_known(rho, left)))
-                node = right
-        else:
-            raise SolverFailure(f"operator {node.op!r} has no inverse")
-    if node != loc:
-        raise SolverFailure("descended to the wrong location")
-    return steps
 
 
 def solve_linear(rho: Mapping[Loc, float], loc: Loc, target: float,
@@ -348,13 +316,15 @@ def solve_linear(rho: Mapping[Loc, float], loc: Loc, target: float,
     if slope == 0:
         raise SolverFailure("trace does not depend on the unknown")
     solution = (target - f0) / slope
-    _verify(rho, loc, target, trace, solution)
+    _verify(probe, loc, target, trace, solution)
     return solution
 
 
-def _verify(rho: Mapping[Loc, float], loc: Loc, target: float, trace: Trace,
+def _verify(check: dict, loc: Loc, target: float, trace: Trace,
             solution: float) -> None:
-    check = dict(rho)
+    """Substitute ``solution`` back into the trace and check it against the
+    target.  ``check`` is a scratch copy of ρ owned by the caller (its
+    ``loc`` entry is overwritten)."""
     check[loc] = solution
     try:
         value = eval_trace(trace, check)

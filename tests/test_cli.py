@@ -67,6 +67,20 @@ class TestRun:
         assert main(["run", str(path)]) == 1
         assert "repro run:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", [
+        "(svg [['polygon' [['points' [[1 2] 3]]] []]])",
+        "(svg [['path' [['d' 5]] []]])",
+    ], ids=["polygon-points", "path-d"])
+    def test_run_improper_list_attribute_one_line(self, tmp_path, capsys,
+                                                  source):
+        path = tmp_path / "improper.little"
+        path.write_text(source, encoding="utf-8")
+        assert main(["run", str(path), "--heuristic", "fair"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro run: {path}: improper list")
+        assert len(captured.err.strip().splitlines()) == 1
+
 
 class TestCheck:
     def test_check_ok_prints_one_line(self, little_file, capsys):
@@ -116,10 +130,10 @@ class TestServe:
     def test_serve_wires_options_through(self, monkeypatch):
         calls = {}
 
-        def fake_run_server(host, port, *, max_sessions, shards, workers,
+        def fake_run_server(host, port, *, max_sessions, shards,
                             verbose, state_dir, eval_budget, faults):
             calls.update(host=host, port=port, max_sessions=max_sessions,
-                         shards=shards, workers=workers, verbose=verbose,
+                         shards=shards, verbose=verbose,
                          state_dir=state_dir, eval_budget=eval_budget,
                          faults=faults)
             return 0
@@ -128,9 +142,9 @@ class TestServe:
         monkeypatch.setattr(serve_http, "run_server", fake_run_server)
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         assert main(["serve", "--port", "0", "--max-sessions", "5",
-                     "--shards", "2", "--workers", "8"]) == 0
+                     "--shards", "2"]) == 0
         assert calls == {"host": "127.0.0.1", "port": 0,
-                         "max_sessions": 5, "shards": 2, "workers": 8,
+                         "max_sessions": 5, "shards": 2,
                          "verbose": False, "state_dir": None,
                          "eval_budget": None, "faults": None}
 

@@ -36,6 +36,20 @@ BIG = ("(defrec build (\\(n acc) (if (< n 1) acc "
 
 GOOD = "(def y 20) (svg [(rect 'red' 10 y 30 40)])"
 
+#: Dragging x below 20 flips the guard to an output that is not an 'svg'
+#: node, so the canvas rejects it.
+FLIP_TO_RECT = ("(def x 30) (if (< x 20) ['rect' [] []] "
+                "(svg [(rect 'red' x 20 30 40)]))")
+
+#: Dragging x below 20 flips the guard to a rect whose 'x' is a string:
+#: the canvas accepts it, the release's Prepare rejects it.
+PREPARE_REJECTS = ("(def x 30) (svg [(if (< x 20) ['rect' [['x' 'a'] "
+                   "['y' 1] ['width' 2] ['height' 3]] []] "
+                   "(rect 'red' x 20 30 40))])")
+
+#: A slider whose low end makes the program take a negative square root.
+SLIDER_SQRT = "(def r 10{0-20}) (svg [(rect 'red' (sqrt (- r 5)) 20 30 40)])"
+
 
 class TestEvalBudget:
     def test_fuel_cap_trips_with_kind_and_message(self):
@@ -145,6 +159,62 @@ class TestSessionRollback:
         assert session.source() == before
         session.release()
         assert len(session.canvas) == 1
+
+    def test_canvas_rejected_guard_flip_keeps_session(self):
+        # The guard flip makes the program output a bare 'rect', which
+        # the canvas rejects.  The failed step must not leave its
+        # recording behind for the next step to replay.
+        session = LiveSession(FLIP_TO_RECT)
+        session.start_drag(0, "INTERIOR")
+        before = session.source()
+        for dx in (-15.0, -12.0):
+            with pytest.raises(LittleError):
+                session.drag(dx, 0.0)
+            assert session.source() == before
+        session.drag(5.0, 0.0)
+        session.release()
+        assert session.source().startswith("(def x 35)")
+
+    def test_prepare_rejected_release_keeps_gesture(self):
+        session = LiveSession(PREPARE_REJECTS)
+        session.start_drag(0, "INTERIOR")
+        session.drag(-15.0, 0.0)
+        with pytest.raises(LittleError):
+            session.release()
+        assert session.dragging == (0, "INTERIOR")
+        assert session.history == []
+        session.drag(5.0, 0.0)
+        session.release()
+        assert session.dragging is None
+        session.undo()
+        assert session.source().startswith("(def x 30)")
+
+    @staticmethod
+    def compiled_session():
+        session = LiveSession(SLIDER_SQRT)
+        session.drag_zone(0, "INTERIOR", 3.0, 2.0)
+        cache = session.pipeline._eval_cache
+        assert cache.compiled is not None
+        return session, cache
+
+    def test_rejected_edit_keeps_recording(self):
+        session, cache = self.compiled_session()
+        before = session.source()
+        with pytest.raises(LittleError):
+            session.edit_source("(def boom (sqrt (- 0 1)))\n" + before)
+        assert session.pipeline._eval_cache is cache
+        assert cache.compiled is not None
+        assert session.source() == before
+
+    def test_rejected_slider_move_keeps_recording(self):
+        session, cache = self.compiled_session()
+        before, history = session.source(), list(session.history)
+        with pytest.raises(LittleError):
+            session.set_slider(next(iter(session.sliders)), 0.0)
+        assert session.pipeline._eval_cache is cache
+        assert cache.compiled is not None
+        assert session.source() == before
+        assert session.history == history
 
 
 class TestCliProgramLimit:

@@ -324,9 +324,22 @@ class TestProtocolErrors:
                   "heuristic": "greedy"}) == "bad_request"
         assert self.error_code(
             app, {"cmd": "open", "source": "(((("}) == "parse_error"
-        assert self.error_code(
-            app, {"cmd": "open", "source": "(svg [(rect 'r' x 1 2 3)])"}) \
-            == "program_error"
+        for source in ("(svg [(rect 'r' x 1 2 3)])",
+                       "(svg [['polygon' [['points' [[1 2] 3]]] []]])",
+                       "(svg [['path' [['d' 5]] []]])"):
+            assert self.error_code(app, {"cmd": "open", "source": source}) \
+                == "program_error"
+
+    def test_canvas_rejected_guard_flip_is_a_program_error(self, app):
+        sid = open_session(app, source=(
+            "(def x 30) (if (< x 20) ['rect' [] []] "
+            "(svg [(rect 'red' x 20 30 40)]))"))["session"]
+        for dx in (-15, -12):
+            assert self.error_code(
+                app, {"cmd": "drag", "session": sid, "shape": 0,
+                      "zone": "INTERIOR", "steps": [[dx, 0]]}) \
+                == "program_error"
+        assert app.manager.stats()["incidents"] == 0
 
     def test_unknown_session(self, app):
         assert self.error_code(app, {"cmd": "render", "session": "s404"}) \

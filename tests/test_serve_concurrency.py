@@ -678,7 +678,7 @@ class TestConcurrentHttp:
         import http.client
 
         app = ServeApp(manager=SessionManager(max_sessions=16, shards=4))
-        server = make_server("127.0.0.1", 0, app, workers=8)
+        server = make_server("127.0.0.1", 0, app)
         thread = threading.Thread(target=server.serve_forever,
                                   daemon=True)
         thread.start()
