@@ -1,16 +1,14 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark module regenerates one of the paper's tables or figures
-(see DESIGN.md's experiment index).  Tables are printed to stdout and also
-written under ``benchmarks/out/`` for EXPERIMENTS.md.
+Every benchmark module regenerates one of the paper's tables or figures.
+Tables are printed to stdout and also written under ``benchmarks/out/``.
 """
 
-import json
 import pathlib
 
 import pytest
 
-from repro.bench import prepare_corpus, table_records
+from repro.bench import prepare_corpus
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
@@ -23,22 +21,12 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def write_table():
-    """Write one benchmark table: the formatted ``.txt`` for humans,
-    plus a machine-readable ``BENCH_<name>.json`` (the row objects via
-    :func:`repro.bench.table_records`, and the rendered lines either
-    way) so CI can track the perf trajectory without parsing text."""
+    """Write one formatted benchmark table to ``benchmarks/out/<name>.txt``
+    and echo it to stdout."""
     OUT_DIR.mkdir(exist_ok=True)
 
-    def _write(name: str, text: str, rows=None, **meta) -> None:
+    def _write(name: str, text: str) -> None:
         (OUT_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
-        payload = {"name": name, "lines": text.splitlines()}
-        if rows is not None:
-            payload["rows"] = table_records(rows)
-        if meta:
-            payload["meta"] = table_records(meta)
-        (OUT_DIR / f"BENCH_{name}.json").write_text(
-            json.dumps(payload, indent=2, default=str) + "\n",
-            encoding="utf-8")
         print("\n" + text)
 
     return _write

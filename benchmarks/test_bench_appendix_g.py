@@ -23,14 +23,14 @@ def test_appendix_g_zone_rows(corpus, write_table):
     assert (wave.shape_count, wave.zone_count) == (12, 108)
     assert (wave.inactive, wave.unambiguous, wave.ambiguous) == (0, 36, 72)
     assert abs(wave.ambiguous_avg - 2.67) < 0.01
-    write_table("appendix_g_zones", format_zone_rows(rows), rows=rows)
+    write_table("appendix_g_zones", format_zone_rows(rows))
 
 
 def test_appendix_g_perf_rows(corpus, write_table):
     rows = measure_rows(corpus, runs=2)
     # Median per-example times stay interactive-scale across the corpus.
     assert all(row.eval_ms < 2000 for row in rows)
-    write_table("appendix_g_perf", format_perf_rows(rows), rows=rows)
+    write_table("appendix_g_perf", format_perf_rows(rows))
 
 
 def test_appendix_g_loc_rows(corpus, write_table):
@@ -41,5 +41,4 @@ def test_appendix_g_loc_rows(corpus, write_table):
     # Most unfrozen locations reaching the output get assigned somewhere
     # (the paper's totals: 975 of 1440).
     assert totals.assigned / totals.unfrozen > 0.5
-    write_table("appendix_g_locs", format_loc_rows(rows, totals),
-                rows=rows, totals=totals)
+    write_table("appendix_g_locs", format_loc_rows(rows, totals))

@@ -69,7 +69,7 @@ def test_drag_latency_speedup(request, write_table):
         assert median_speedup(rows) >= 5.0
         assert median_compiled_speedup(rows) >= 2.0, \
             [(row.name, row.compiled_speedup) for row in rows]
-    write_table("drag_latency", format_drag_latency_table(rows), rows=rows)
+    write_table("drag_latency", format_drag_latency_table(rows))
 
 
 def test_drag_budget_overhead(request, write_table):
@@ -134,7 +134,6 @@ def test_drag_budget_overhead(request, write_table):
 
     lines = ["Budget overhead: drag steps/sec, default caps armed",
              f"{'config':26s}{'steps/s':>10s}"]
-    records = {}
     for compiled in (False, True):
         path = "compiled" if compiled else "interp"
         plain_best = budget_best = 0.0
@@ -152,11 +151,8 @@ def test_drag_budget_overhead(request, write_table):
         lines += [f"{path + ', no budget':26s}{plain_best:>10.1f}",
                   f"{path + ', default budget':26s}{budget_best:>10.1f}",
                   f"{path + ' overhead':26s}{overhead_pct:>9.1f}%"]
-        records[path] = {"no_budget_sps": plain_best,
-                         "budget_sps": budget_best,
-                         "overhead_pct": overhead_pct}
         if not request.config.getoption("benchmark_disable"):
             assert ratio <= 1.10, \
                 f"budget accounting costs {overhead_pct:.1f}% (>10%) " \
                 f"on the {path} path at the median paired chunk"
-    write_table("drag_budget_overhead", "\n".join(lines), rows=records)
+    write_table("drag_budget_overhead", "\n".join(lines))

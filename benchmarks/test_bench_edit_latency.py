@@ -54,4 +54,4 @@ def test_edit_latency_speedup(request, write_table):
     # runners) the equivalence checks above are the point.
     if not request.config.getoption("benchmark_disable"):
         assert median_edit_speedup(rows) >= 3.0
-    write_table("edit_latency", format_edit_latency_table(rows), rows=rows)
+    write_table("edit_latency", format_edit_latency_table(rows))

@@ -22,5 +22,4 @@ def test_interactivity_table(corpus, write_table):
     for delta in (1.0, 100.0):
         assert (totals.full[delta] + totals.partial[delta]
                 + totals.none[delta]) == totals.active
-    write_table("interactivity_table", format_interactivity(totals),
-                rows=totals)
+    write_table("interactivity_table", format_interactivity(totals))

@@ -57,4 +57,4 @@ def test_perf_table(corpus, write_table):
     assert times["solve"].avg_ms < times["eval"].avg_ms
     assert times["solve"].avg_ms < times["parse"].avg_ms
     assert times["prepare"].avg_ms > times["eval"].avg_ms
-    write_table("perf_table", format_perf_table(times), rows=times)
+    write_table("perf_table", format_perf_table(times))

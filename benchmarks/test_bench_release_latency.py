@@ -45,8 +45,7 @@ def test_release_latency_speedup(request, write_table):
     # runners) the equivalence checks above are the point.
     if not request.config.getoption("benchmark_disable"):
         assert median_release_speedup(rows) >= 3.0
-    write_table("release_latency", format_release_latency_table(rows),
-                rows=rows)
+    write_table("release_latency", format_release_latency_table(rows))
 
 
 def test_incremental_release_after_guard_flip_stays_equal():

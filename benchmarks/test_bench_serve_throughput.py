@@ -6,9 +6,9 @@ The ROADMAP's north star is a service for many users; two tables:
   drag-events/sec (per-request burst coalescing) under an interleaved
   single-threaded load generator;
 * **scaling** — drag-events/sec from a *real* thread pool of 1/4/16
-  worker clients on disjoint sessions: the global-dispatch-lock baseline
-  (the pre-sharding server) vs per-session locks vs per-session locks
-  plus cross-request coalescing of acknowledged drag bursts.
+  worker clients on disjoint sessions: per-session locks with eager
+  re-runs vs per-session locks plus cross-request coalescing of
+  acknowledged drag bursts.
 
 Every state-bearing protocol response is verified byte-identical (SVG
 and program text) to a direct ``LiveSession`` driven with the same
@@ -63,8 +63,8 @@ def test_serve_throughput_table(request, write_table):
     # recording at most once (one session per worker).
     for row in scaling:
         assert row.specializations <= row.workers, row
-    # Cross-request coalescing must clearly beat the global-lock
-    # baseline at the top worker count (measured ~3x).  The wall-clock
+    # Cross-request coalescing must clearly beat eager per-request
+    # re-runs at the top worker count (measured ~1.9x).  The wall-clock
     # ratio is asserted only when timing is the point: under
     # --benchmark-disable (correctness mode) throughput numbers are
     # noise by contract.
@@ -72,5 +72,4 @@ def test_serve_throughput_table(request, write_table):
         assert scaling[-1].speedup > 1.5, scaling[-1]
     write_table("serve_throughput",
                 format_serve_throughput_table(rows) + "\n\n"
-                + format_serve_scaling_table(scaling),
-                rows={"throughput": rows, "scaling": scaling})
+                + format_serve_scaling_table(scaling))

@@ -42,5 +42,4 @@ def test_solvability_table(corpus, write_table):
     #     functions like cos; §5.2.2 discusses rotation angles).
     assert totals.solved_d100 <= totals.solved_d1
     # (4) nothing outside the fragment is solvable.
-    write_table("solvability_table", format_equation_table(totals),
-                rows=totals)
+    write_table("solvability_table", format_equation_table(totals))

@@ -20,4 +20,4 @@ def test_zone_table(corpus, write_table):
     assert totals.active / totals.zones > 0.85          # paper: 93%
     assert totals.ambiguous / totals.zones > 0.40       # paper: 59%
     assert 2.0 < totals.ambiguous_avg < 20.0            # paper: 3.83
-    write_table("zone_table", format_zone_table(totals), rows=totals)
+    write_table("zone_table", format_zone_table(totals))

@@ -25,7 +25,7 @@ from .report import (PAPER_EQUATION_TOTALS, PAPER_PERF_MS, PAPER_ZONE_TOTALS,
                      format_release_latency_table,
                      format_serve_scaling_table,
                      format_serve_throughput_table, format_zone_rows,
-                     format_zone_table, table_records)
+                     format_zone_table)
 from .serve_throughput import (SERVE_CONCURRENCY, SERVE_EXAMPLES,
                                SERVE_WORKERS, ServeScalingRow,
                                ServeThroughputRow, measure_serve_scaling,
@@ -59,7 +59,6 @@ __all__ = [
     "format_equation_table", "format_ingest_table", "format_loc_rows",
     "format_perf_rows",
     "format_perf_table", "format_zone_rows", "format_zone_table",
-    "table_records",
     "ZoneStatsRow", "ZoneTotals", "corpus_zone_stats", "zone_stats",
     "zone_totals",
 ]

@@ -1,16 +1,6 @@
-"""Text renderers for the paper's tables, side by side with paper values.
-
-Every table also has a machine-readable form: :func:`table_records`
-turns the row objects (dataclasses, namedtuples, dicts of either) into
-plain JSON-able structures, and the benchmark suite's ``write_table``
-fixture writes them as ``BENCH_<name>.json`` alongside the ``.txt`` so
-CI and future re-anchors can track the perf trajectory without parsing
-formatted text.
-"""
+"""Text renderers for the paper's tables, side by side with paper values."""
 
 from __future__ import annotations
-
-import dataclasses
 
 from typing import Dict, List, Optional
 
@@ -41,39 +31,6 @@ PAPER_PERF_MS = {
     "prepare": {"min": 1, "med": 13, "avg": 200, "max": 6789},
     "solve": {"min": 0.1, "med": 0.5, "avg": 0.5, "max": 14},
 }
-
-
-def table_records(rows):
-    """A JSON-able mirror of a table's row objects.
-
-    Handles the row shapes the benchmark suite produces — dataclasses,
-    namedtuples, dicts and sequences of any of them, arbitrarily nested
-    — and falls back to ``str`` for anything else, so every table can be
-    serialized without a per-table schema.
-
-    >>> from dataclasses import dataclass
-    >>> @dataclass
-    ... class Row: name: str; speedup: float
-    >>> table_records([Row("three_boxes", 7.5)])
-    [{'name': 'three_boxes', 'speedup': 7.5}]
-    """
-    if dataclasses.is_dataclass(rows) and not isinstance(rows, type):
-        return {field.name: table_records(getattr(rows, field.name))
-                for field in dataclasses.fields(rows)}
-    if isinstance(rows, dict):
-        return {str(key): table_records(value)
-                for key, value in rows.items()}
-    if hasattr(rows, "_asdict"):        # namedtuple
-        return table_records(rows._asdict())
-    if isinstance(rows, (list, tuple)):
-        return [table_records(item) for item in rows]
-    if isinstance(rows, (str, int, float, bool)) or rows is None:
-        return rows
-    if hasattr(rows, "__dict__"):
-        return {key: table_records(value)
-                for key, value in vars(rows).items()
-                if not key.startswith("_")}
-    return str(rows)
 
 
 def format_zone_table(totals: ZoneTotals) -> str:
@@ -251,22 +208,21 @@ def format_serve_throughput_table(rows) -> str:
 
 def format_serve_scaling_table(rows) -> str:
     """Concurrent-scaling table: drag-events/s from N real worker
-    threads on disjoint sessions — global dispatch lock vs per-session
-    locks vs per-session locks + cross-request burst coalescing."""
+    threads on disjoint sessions — per-session locks with eager re-runs
+    vs per-session locks + cross-request burst coalescing."""
     lines = [
         "Serve scaling: drag-events/s, N worker threads on disjoint "
         "sessions",
-        f"{'workers':>8s}{'global/s':>11s}{'shard/s':>11s}"
+        f"{'workers':>8s}{'shard/s':>11s}"
         f"{'coalesce/s':>12s}{'speedup':>9s}{'identical':>11s}",
     ]
     for row in rows:
         lines.append(
-            f"{row.workers:>8d}{row.global_eps:>11.1f}{row.shard_eps:>11.1f}"
+            f"{row.workers:>8d}{row.shard_eps:>11.1f}"
             f"{row.coalesce_eps:>12.1f}{row.speedup:>8.2f}x"
             f"{'yes' if row.responses_identical else 'NO':>11s}")
-    lines.append("(global = one dispatch lock, eager re-runs; shard = "
-                 "per-session locks; coalesce = queued bursts applied as "
-                 "one re-run)")
+    lines.append("(shard = per-session locks, eager re-runs; coalesce = "
+                 "queued bursts applied as one re-run)")
     return "\n".join(lines)
 
 

@@ -8,12 +8,10 @@ Two tables:
   (per-request burst coalescing);
 * **concurrent scaling** (:func:`measure_serve_scaling`) — a *real*
   thread pool of N worker clients hammers disjoint sessions, comparing
-  three server configurations at each worker count:
+  two server configurations at each worker count:
 
-  - ``global`` — every request serialized through one global dispatch
-    lock with eager per-request re-runs (the pre-sharding PR 3 server);
-  - ``shard`` — per-session locks + sharded manager, same eager
-    requests (on a GIL interpreter this measures lock overhead; on a
+  - ``shard`` — per-session locks + sharded manager, eager per-request
+    re-runs (on a GIL interpreter the workers share one core; on a
     free-threaded/multi-core build it scales with cores);
   - ``coalesce`` — per-session locks + cross-request drag coalescing
     (``"sync": false`` acknowledged bursts applied as one re-run at the
@@ -164,10 +162,9 @@ def measure_serve_throughput(
 @dataclass(frozen=True)
 class ServeScalingRow:
     workers: int
-    global_eps: float           # drag-events/s, global dispatch lock
     shard_eps: float            # drag-events/s, per-session locks
     coalesce_eps: float         # drag-events/s, + cross-request coalescing
-    speedup: float              # coalesce_eps / global_eps
+    speedup: float              # coalesce_eps / shard_eps
     responses_identical: bool
     specializations: int        # most artifacts one pass specialized
 
@@ -262,34 +259,23 @@ def _drive_workers(handle, workers: int, *, rounds: int,
     return events, elapsed, identical
 
 
-#: The three server configurations of the scaling table, in column order:
-#: (coalesce bursts?, one global dispatch lock?).
+#: The two server configurations of the scaling table, in column order:
+#: (name, coalesce bursts?).
 _SCALING_CONFIGS = (
-    ("global", False, True),
-    ("shard", False, False),
-    ("coalesce", True, False),
+    ("shard", False),
+    ("coalesce", True),
 )
 
 
 def _scaling_pass(workers: int, *, rounds: int, bursts: int,
-                  steps_per_burst: int, coalesce: bool,
-                  global_lock: bool) -> Tuple[float, bool, int]:
+                  steps_per_burst: int, coalesce: bool
+                  ) -> Tuple[float, bool, int]:
     """One timed pass of one server configuration; returns
     ``(drag_events_per_sec, responses_identical, specializations)``."""
-    if global_lock:
-        # Baseline: the pre-sharding server — one global dispatch lock.
-        app = ServeApp(manager=SessionManager(max_sessions=workers + 1))
-        lock = threading.Lock()
-
-        def handle(request, _app=app, _lock=lock):
-            with _lock:
-                return _app.handle(request)
-    else:
-        app = ServeApp(manager=SessionManager(max_sessions=workers + 1,
-                                              shards=4))
-        handle = app.handle
+    app = ServeApp(manager=SessionManager(max_sessions=workers + 1,
+                                          shards=4))
     events, elapsed, identical = _drive_workers(
-        handle, workers, rounds=rounds, bursts=bursts,
+        app.handle, workers, rounds=rounds, bursts=bursts,
         steps_per_burst=steps_per_burst, coalesce=coalesce)
     return (events / elapsed if elapsed else 0.0, identical,
             app.manager.stats()["specializations"])
@@ -300,7 +286,7 @@ def measure_serve_scaling(worker_counts: Sequence[int] = SERVE_WORKERS, *,
                           steps_per_burst: int = 5, repeats: int = 2
                           ) -> List[ServeScalingRow]:
     """The scaling table: drag-events/s at N concurrent worker threads
-    on disjoint sessions, global-lock baseline vs the sharded server.
+    on disjoint sessions, eager requests vs cross-request coalescing.
 
     Each configuration is timed ``repeats`` times with the passes
     interleaved across configurations, keeping the best rate — so a
@@ -310,25 +296,23 @@ def measure_serve_scaling(worker_counts: Sequence[int] = SERVE_WORKERS, *,
     """
     rows = []
     for workers in worker_counts:
-        best = {name: 0.0 for name, *_ in _SCALING_CONFIGS}
+        best = {name: 0.0 for name, _ in _SCALING_CONFIGS}
         identical = True
         specializations = 0
         for _ in range(repeats):
-            for name, coalesce, global_lock in _SCALING_CONFIGS:
+            for name, coalesce in _SCALING_CONFIGS:
                 eps, ok, specialized = _scaling_pass(
                     workers, rounds=rounds, bursts=bursts,
-                    steps_per_burst=steps_per_burst, coalesce=coalesce,
-                    global_lock=global_lock)
+                    steps_per_burst=steps_per_burst, coalesce=coalesce)
                 best[name] = max(best[name], eps)
                 identical &= ok
                 specializations = max(specializations, specialized)
         rows.append(ServeScalingRow(
             workers=workers,
-            global_eps=best["global"],
             shard_eps=best["shard"],
             coalesce_eps=best["coalesce"],
-            speedup=(best["coalesce"] / best["global"]
-                     if best["global"] else 0.0),
+            speedup=(best["coalesce"] / best["shard"]
+                     if best["shard"] else 0.0),
             responses_identical=identical,
             specializations=specializations))
     return rows

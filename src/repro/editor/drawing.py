@@ -26,7 +26,7 @@ from typing import Optional
 from ..lang.ast import ECase, ELet, EVar, EApp, Expr, PVar, elist, plist
 from ..lang.parser import parse_expr
 from ..lang.program import Program
-from ..lang.values import format_number
+from ..lang.unparser import format_literal
 
 _SHAPE_TEMPLATES = {
     "rect": ("x", "y", "width", "height"),
@@ -52,7 +52,7 @@ def shape_literal_source(kind: str, fill: str = "gray", **attrs) -> str:
         fill_attr = ""
     else:
         fill_attr = f" ['fill' '{fill}']"
-    pairs = " ".join(f"['{name}' {format_number(float(attrs[name]))}]"
+    pairs = " ".join(f"['{name}' {format_literal(float(attrs[name]))}]"
                      for name in expected)
     return f"['{kind}' [{pairs}{fill_attr}{stroke_attrs}] []]"
 

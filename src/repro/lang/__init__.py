@@ -11,8 +11,8 @@ from .parser import parse_expr, parse_top_level
 from .program import Program, parse_program
 from .unparser import unparse, unparse_pattern
 from .values import (VBool, VClosure, VCons, VNil, VNum, VStr, Value,
-                     format_number, format_value, from_pylist, is_list,
-                     to_pylist, value_equal)
+                     format_number, from_pylist, is_list, to_pylist,
+                     value_equal)
 
 __all__ = [
     "ECase", "ECons", "ELambda", "ELet", "ENil", "ENum", "EOp", "EStr",
@@ -25,6 +25,5 @@ __all__ = [
     "parse_expr", "parse_top_level", "Program", "parse_program",
     "unparse", "unparse_pattern",
     "VBool", "VClosure", "VCons", "VNil", "VNum", "VStr", "Value",
-    "format_number", "format_value", "from_pylist", "is_list", "to_pylist",
-    "value_equal",
+    "format_number", "from_pylist", "is_list", "to_pylist", "value_equal",
 ]

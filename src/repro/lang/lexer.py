@@ -17,6 +17,7 @@ for lambda (paper Figure 2 uses λ; the ASCII implementation uses ``\\``).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
@@ -120,6 +121,8 @@ def _match_number(source: str, pos: int):
     if match is None or match.group() in ("-", "."):
         return None
     value = float(match.group())
+    if math.isinf(value):
+        raise _out_of_range(source, pos)
     end = match.end()
     ann = ""
     if end < len(source) and source[end] in "!?":
@@ -134,8 +137,16 @@ def _match_number(source: str, pos: int):
                 *_line_col(source, end))
         range_ann = (float(range_match.group(1)),
                      float(range_match.group(2)))
+        if math.isinf(range_ann[0]) or math.isinf(range_ann[1]):
+            raise _out_of_range(source, end)
         end = range_match.end()
     return NumberToken(value, ann, range_ann), end
+
+
+def _out_of_range(source: str, pos: int) -> LittleSyntaxError:
+    """A digit string too long for a float reads as inf."""
+    return LittleSyntaxError("number literal out of range",
+                             *_line_col(source, pos))
 
 
 def _line_col(source: str, pos: int) -> Tuple[int, int]:

@@ -10,10 +10,30 @@ The printer re-sugars the forms the parser recorded: ``(def …)`` sequences,
 
 from __future__ import annotations
 
+import decimal
+import math
+
 from .ast import (ECase, ECons, ELambda, ELet, ENil, ENum, EOp, EStr, EVar,
                   EApp, EBool, Expr, PBool, PCons, PNil, PNum, PStr, PVar,
                   Pattern)
-from .values import format_number
+
+
+def format_literal(number: float) -> str:
+    """Render a finite number as a little literal the lexer reads back
+    exactly: integral floats without a decimal point, everything else in
+    positional decimal (the lexer has no exponent form), and ``-0.0``
+    with its sign."""
+    if number == 0.0:
+        # float equality folds -0.0 into the integer branch; keep the sign
+        # (it is meaningful to arc sweeps and transforms).
+        return "-0.0" if math.copysign(1.0, number) < 0.0 else "0"
+    if number == int(number) and abs(number) < 1e15:
+        return str(int(number))
+    text = repr(float(number))
+    if "e" in text:
+        # Decimal(repr) round-trips the float; "f" expands the exponent.
+        text = format(decimal.Decimal(text), "f")
+    return text
 
 
 def unparse(expr: Expr) -> str:
@@ -25,7 +45,7 @@ def unparse_pattern(pat: Pattern) -> str:
     if isinstance(pat, PVar):
         return pat.name
     if isinstance(pat, PNum):
-        return format_number(pat.value)
+        return format_literal(pat.value)
     if isinstance(pat, PStr):
         return f"'{pat.value}'"
     if isinstance(pat, PBool):
@@ -42,10 +62,10 @@ def unparse_pattern(pat: Pattern) -> str:
 
 
 def unparse_number(expr: ENum) -> str:
-    text = format_number(expr.value) + expr.ann
+    text = format_literal(expr.value) + expr.ann
     if expr.range_ann is not None:
         lo, hi = expr.range_ann
-        text += "{" + format_number(lo) + "-" + format_number(hi) + "}"
+        text += "{" + format_literal(lo) + "-" + format_literal(hi) + "}"
     return text
 
 

@@ -141,25 +141,11 @@ def value_equal(left: Value, right: Value) -> bool:
 
 def format_number(n: float) -> str:
     """Render a little number the way the SVG backend and toString do:
-    integral floats print without a decimal point."""
-    if n == int(n) and abs(n) < 1e15:
+    integral floats print without a decimal point, and inf and nan as
+    ``repr`` does.  Program text uses
+    :func:`repro.lang.unparser.format_literal` instead."""
+    # The magnitude test goes first: it is false for inf and nan, which
+    # int() cannot convert.
+    if abs(n) < 1e15 and n == int(n):
         return str(int(n))
     return repr(float(n))
-
-
-def format_value(value: Value) -> str:
-    """Debug/round-trip rendering of a value in little syntax."""
-    if isinstance(value, VNum):
-        return format_number(value.value)
-    if isinstance(value, VStr):
-        return f"'{value.value}'"
-    if isinstance(value, VBool):
-        return "true" if value.value else "false"
-    if isinstance(value, VNil):
-        return "[]"
-    if isinstance(value, VCons):
-        if is_list(value):
-            inner = " ".join(format_value(item) for item in to_pylist(value))
-            return f"[{inner}]"
-        return f"[{format_value(value.head)}|{format_value(value.tail)}]"
-    return repr(value)

@@ -103,7 +103,6 @@ class SessionManager:
     """
 
     def __init__(self, max_sessions: int = 64, *, shards: int = 1,
-                 compile_cache_size: int = 128,
                  snapshot_limit: int = 1024,
                  eval_budget=None, faults=None, log=None):
         if max_sessions < 1:
@@ -122,8 +121,7 @@ class SessionManager:
         #: ``log(message)`` sink for failure events (``--verbose`` wires
         #: it to stderr; default drops them — the *counters* always count).
         self._log = log if log is not None else (lambda message: None)
-        self.cache = CompileCache(compile_cache_size, budget=eval_budget,
-                                  faults=faults)
+        self.cache = CompileCache(budget=eval_budget, faults=faults)
         # Snapshot budgets get a floor of 1 so a small global limit split
         # across shards never silently expires an eviction on the spot
         # (the effective global bound rounds up to at most one per shard).
@@ -322,33 +320,6 @@ class SessionManager:
         with self._lock:
             self.edits += 1
             entry.edits[kind] = entry.edits.get(kind, 0) + 1
-
-    def session_ids(self) -> List[str]:
-        """Ids of all addressable sessions (live first, then evicted).
-
-        Only *issued* ids are listed (a session whose ``open`` has not
-        returned yet is filtered out), and a session caught between
-        stores mid-migration is still listed as live — every returned
-        id is addressable at the moment it was read.
-        """
-        with self._lock:
-            known = set(self._entries)
-        seen = set()
-        live, snapshotted = [], []
-        for shard in self.shards:
-            shard_live, shard_snapshotted = shard.ids()
-            # ``seen`` also de-duplicates a session caught mid-migration
-            # (listed by its source shard, then again by its target).
-            for sid in shard_live:
-                if sid in known and sid not in seen:
-                    seen.add(sid)
-                    live.append(sid)
-            for sid in shard_snapshotted:
-                if sid in known and sid not in seen:
-                    seen.add(sid)
-                    snapshotted.append(sid)
-        live.extend(sid for sid in known if sid not in seen)
-        return live + snapshotted
 
     # -- per-session ordering ----------------------------------------------------
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from threading import Lock
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..editor.session import LiveSession
 
@@ -140,10 +140,6 @@ class SessionShard:
         with self._lock:
             return self._snapshots.get(session_id)
 
-    def snapshot_count(self) -> int:
-        with self._lock:
-            return len(self._snapshots)
-
     # -- counters (coordinator-driven events) ------------------------------------
 
     def note_rehydrated(self) -> None:
@@ -169,12 +165,6 @@ class SessionShard:
             in_live = self._live.pop(session_id, None) is not None
             in_snap = self._snapshots.pop(session_id, None) is not None
             return in_live or in_snap
-
-    def ids(self) -> Tuple[List[str], List[str]]:
-        """All addressable ids on this shard, partitioned under one lock
-        acquisition: ``(live ids, snapshotted ids)``."""
-        with self._lock:
-            return list(self._live), list(self._snapshots)
 
     def stats(self) -> dict:
         with self._lock:

@@ -28,13 +28,13 @@ class) instead of silently emitting a program that will not parse.
 
 from __future__ import annotations
 
-import decimal
 import math
 import re
 import xml.etree.ElementTree as ElementTree
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lang.errors import SvgImportError
+from ..lang.unparser import format_literal
 
 SUPPORTED_SHAPES = ("rect", "circle", "ellipse", "line", "polygon",
                     "polyline", "path", "text")
@@ -89,18 +89,7 @@ def _format(number: float) -> str:
     if not math.isfinite(number):
         raise SvgImportError(f"cannot emit non-finite number {number!r}",
                              reason="number")
-    if number == 0.0:
-        # float equality folds -0.0 into the integer branch; keep the sign
-        # (it is meaningful to arc sweeps and transforms).
-        return "-0.0" if math.copysign(1.0, number) < 0.0 else "0"
-    if number == int(number) and abs(number) < 1e15:
-        return str(int(number))
-    text = repr(float(number))
-    if "e" in text or "E" in text:
-        # The little lexer has no exponent form; expand to an exact
-        # positional decimal (Decimal(repr) round-trips the float).
-        text = format(decimal.Decimal(text), "f")
-    return text
+    return format_literal(number)
 
 
 def _strip_namespace(tag: str) -> str:

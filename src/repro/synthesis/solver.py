@@ -325,6 +325,8 @@ def _verify(check: dict, loc: Loc, target: float, trace: Trace,
     """Substitute ``solution`` back into the trace and check it against the
     target.  ``check`` is a scratch copy of ρ owned by the caller (its
     ``loc`` entry is overwritten)."""
+    if not math.isfinite(solution):
+        raise SolverFailure(f"non-finite solution {solution}")
     check[loc] = solution
     try:
         value = eval_trace(trace, check)

@@ -61,6 +61,16 @@ class TestRun:
         assert captured.err.startswith(f"repro run: {path}:")
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_run_overflow_to_infinity_renders(self, tmp_path, capsys):
+        big = "1" + "0" * 200
+        path = tmp_path / "overflow.little"
+        path.write_text(f"(svg [(rect 'red' (* {big} {big}) 0 5 5)])",
+                        encoding="utf-8")
+        assert main(["run", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert 'x="inf"' in captured.out
+
     def test_run_runtime_error_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "unbound.little"
         path.write_text("(svg [(rect 'red' nope 1 2 3)])", encoding="utf-8")

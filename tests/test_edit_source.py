@@ -95,6 +95,12 @@ class TestIdentityEdits:
         assert 'x="10"' in session.export_svg()            # not stale
         assert_matches_fresh(session)
 
+    def test_identity_edit_after_drag_to_a_tiny_value(self):
+        # x0 lands near 1e-05, which repr would print in exponent form.
+        session = LiveSession(example_source("three_boxes"))
+        session.drag_zone(0, "INTERIOR", -39.99999, 0.0)
+        assert session.edit_source(session.source()).kind == "identity"
+
     def test_identity_edit_adopts_formatting(self):
         session = LiveSession(SOURCE)
         spaced = SOURCE.replace(" (svg", "   (svg")

@@ -75,6 +75,14 @@ class TestNumbers:
         with pytest.raises(LittleSyntaxError):
             tokenize("12{3-}")
 
+    @pytest.mark.parametrize("source", ["1" + "0" * 400,
+                                        "-1" + "0" * 400,
+                                        "5{0-1" + "0" * 400 + "}"],
+                             ids=["literal", "negative", "range-bound"])
+    def test_literal_overflowing_to_infinity_raises(self, source):
+        with pytest.raises(LittleSyntaxError, match="out of range"):
+            tokenize(source)
+
     def test_minus_followed_by_space_is_symbol(self):
         assert kinds("(- 3 1)") == ["LPAREN", "SYM", "NUM", "NUM", "RPAREN"]
 

@@ -16,10 +16,12 @@ import threading
 
 import pytest
 
+from repro.core.run import run_source
 from repro.editor import LiveSession
 from repro.examples import example_source
 from repro.serve import (CompileCache, ServeApp, SessionManager,
                          UnknownSession, make_server)
+from repro.svg.importer import svg_to_little
 
 THREE_BOXES = example_source("three_boxes")
 
@@ -119,6 +121,18 @@ class TestProtocolTransparency:
         assert rendered["svg"] == mirror.export_svg(include_hidden=True)
         src = app.handle({"cmd": "source", "session": opened["session"]})
         assert src["source"] == mirror.source()
+
+    def test_source_of_tiny_and_huge_literals_reruns(self):
+        # The little lexer has no exponent form, so the printed source
+        # must spell 1e-05 and 1e+17 out positionally.
+        app = ServeApp()
+        for source in (
+                "(svg [(rect 'red' 0.00001 0 5 5)])",
+                "(svg [(rect 'red' 100000000000000000 0 5 5)])",
+                svg_to_little('<svg><circle cx="2.855938629885282e-14" '
+                              'cy="5" r="1"/></svg>')):
+            opened = open_session(app, source=source)
+            assert run_source(opened["source"]).render() == opened["svg"]
 
     def test_responses_are_json_serializable(self):
         app = ServeApp()
@@ -324,6 +338,11 @@ class TestProtocolErrors:
                   "heuristic": "greedy"}) == "bad_request"
         assert self.error_code(
             app, {"cmd": "open", "source": "(((("}) == "parse_error"
+        # 401 digits overflow a float to inf.
+        assert self.error_code(
+            app, {"cmd": "open",
+                  "source": "(svg [(rect 'red' 1" + "0" * 400 + " 0 5 5)])"}
+        ) == "parse_error"
         for source in ("(svg [(rect 'r' x 1 2 3)])",
                        "(svg [['polygon' [['points' [[1 2] 3]]] []]])",
                        "(svg [['path' [['d' 5]] []]])"):
@@ -339,6 +358,22 @@ class TestProtocolErrors:
                 app, {"cmd": "drag", "session": sid, "shape": 0,
                       "zone": "INTERIOR", "steps": [[dx, 0]]}) \
                 == "program_error"
+        assert app.manager.stats()["incidents"] == 0
+
+    def test_non_finite_numbers_are_classified(self, app):
+        # json.loads accepts Infinity; the solver must not commit it.
+        sid = open_session(app, source=THREE_BOXES)["session"]
+        dragged = app.handle(
+            {"cmd": "drag", "session": sid, "shape": 0, "zone": "INTERIOR",
+             "steps": json.loads("[[Infinity, 0]]")})
+        assert dragged["ok"], dragged
+        assert "x0" in dragged["unsolved"]
+        # A product that overflows to inf renders as an attribute and
+        # through toString.
+        big = "1" + "0" * 200
+        for source in (f"(svg [(rect 'red' (* {big} {big}) 0 5 5)])",
+                       f"(svg [(text 10 20 (toString (* {big} {big})))])"):
+            open_session(app, source=source)
         assert app.manager.stats()["incidents"] == 0
 
     def test_unknown_session(self, app):

@@ -613,18 +613,6 @@ class TestMigration:
         for sid in sids:
             assert manager.get(sid).export_svg() == cold.export_svg()
 
-    def test_session_ids_lists_live_before_snapshotted(self):
-        manager = SessionManager(max_sessions=2, shards=2)
-        source = TEMPLATE.format(v=10)
-        sids = [manager.open(source)[0] for _ in range(3)]
-        ids = manager.session_ids()
-        assert sorted(ids) == sorted(sids)
-        stats = manager.stats()
-        live_count = stats["live_sessions"]
-        # s2 was snapshot-evicted (all shards full); it must come last.
-        assert set(ids[:live_count]) == {sids[0], sids[2]}
-        assert ids[live_count:] == [sids[1]]
-
     def test_small_snapshot_limit_split_across_shards_still_stores(self):
         # snapshot_limit=2 over 4 shards would round two budgets to 0;
         # the floor of 1 keeps a fresh eviction addressable instead of

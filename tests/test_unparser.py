@@ -25,6 +25,10 @@ ROUNDTRIP_SOURCES = [
     "5?",
     "12!{3-30}",
     "0{-3.14-3.14}",
+    "0.00001",
+    "100000000000000000",
+    "-0.0000123",
+    "0.00001!{0-1}",
     "'hello world'",
     "true",
     "false",
