@@ -105,7 +105,6 @@ def _naive_step(base: Program, bindings) -> Canvas:
     """One pre-optimization drag step: full rebuild, full re-evaluation."""
     new_user = substitute(base.user_ast, bindings)
     program = Program(new_user, source=base.source,
-                      with_prelude=base.with_prelude,
                       prelude_frozen=base.prelude_frozen)
     collect_rho0(program.ast)           # the seed constructor's full walk
     value = evaluate(program.ast)       # full Prelude spine, no caches

@@ -10,8 +10,8 @@ Two paths are compared over identical edit sequences:
 
 * **fast** — :meth:`~repro.editor.session.LiveSession.edit_source`: the
   structural differ classifies the edit and feeds it to the staged
-  pipeline, so a value-only edit replays recorded guards and revalidates
-  the Prepare caches instead of recomputing them;
+  pipeline, so a value-only edit replays recorded guards and reuses the
+  Prepare results instead of recomputing them;
 * **naive** — reopen from scratch: a fresh
   :class:`~repro.editor.session.LiveSession` on the new text, which is
   what a text edit cost before the edit path existed (parse + record a

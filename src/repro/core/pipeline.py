@@ -23,12 +23,10 @@ caches accordingly:
   (:mod:`repro.lang.incremental`) and rebuilds only changed canvas nodes;
   a guard flip escalates the change to structural (full re-run).
 * **Assign** exploits that candidate location sets depend only on *trace
-  structure*, never attribute values: after a non-structural change the
-  incremental canvas rebuild preserves every trace object, which the stage
-  revalidates per affected shape via identity signatures
-  (:meth:`~repro.svg.canvas.Shape.trace_sig`) — re-analyzing a shape (and,
-  if anything truly differs, re-choosing globally) only when the proof
-  fails.
+  structure*, never attribute values: a non-structural change reaches it
+  only after every recorded guard held, and both replay tiers and the
+  incremental canvas rebuild keep every trace object, so the stage keeps
+  its assignments and computes them afresh only on a structural change.
 * **Trigger** rebuilds triggers for shapes whose dependency set intersects
   the change set and rebinds (shares the pre-read features of) the rest.
 * **Sliders** recomputes only when the change touches a slider location.
@@ -44,7 +42,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from ..lang.ast import Loc
 from ..lang.compile import ensure_compiled
@@ -53,8 +51,8 @@ from ..lang.incremental import EvalCache, record_evaluation, reevaluate
 from ..lang.program import Program, parse_program
 from ..svg.canvas import Canvas
 from ..svg.render import render_canvas
-from ..zones.assignment import (CanvasAssignments, ZoneAnalysis,
-                                analyze_shape, choose_assignments)
+from ..zones.assignment import (CanvasAssignments, analyze_shape,
+                                choose_assignments)
 from ..zones.triggers import (MouseTrigger, compute_shape_triggers,
                               compute_triggers)
 from .changeset import EMPTY_CHANGE, FULL_CHANGE, ChangeSet
@@ -66,7 +64,7 @@ __all__ = ["SyncPipeline"]
 #: saves and restores.
 _STAGE_FIELDS = ("program", "output", "canvas", "assignments", "triggers",
                  "sliders", "_eval_cache", "_pending_output",
-                 "_shape_analyses", "_shape_sigs", "_slider_idents")
+                 "_slider_idents")
 _stage_state = attrgetter(*_STAGE_FIELDS)
 
 
@@ -121,9 +119,6 @@ class SyncPipeline:
         self.sliders: Dict[Loc, BuiltinSlider] = {}
         self._eval_cache: Optional[EvalCache] = None
         self._pending_output = None
-        # Per-shape Assign caches: analyses and trace-identity signatures.
-        self._shape_analyses: Optional[List[List[ZoneAnalysis]]] = None
-        self._shape_sigs: Optional[List[Tuple[int, ...]]] = None
         self._slider_idents: frozenset = frozenset()
 
     @classmethod
@@ -171,8 +166,8 @@ class SyncPipeline:
 
         The change-set-aware counterpart of :meth:`replace_program` for
         source edits (:func:`repro.lang.diff.diff_source`): a value-only
-        change replays the recorded guards and revalidates the Prepare
-        caches exactly like a drag step; a structural change rebuilds
+        change replays the recorded guards and reuses the Prepare results
+        exactly like a drag step; a structural change rebuilds
         everything.  Returns the effective change set (escalated to
         ``FULL_CHANGE`` if a guard flipped during the replay).
         """
@@ -266,47 +261,22 @@ class SyncPipeline:
 
     def assign_stage(self, change: Optional[ChangeSet] = None
                      ) -> CanvasAssignments:
-        """Compute (or revalidate) shape assignments for every zone."""
+        """Compute shape assignments for every zone.
+
+        Candidate location sets and the heuristic's choice depend on
+        trace structure alone, and a non-structural change reaches this
+        stage only after the Run stage proved that structure unchanged
+        (every recorded guard held, every trace object kept), so it keeps
+        the assignments it has."""
         change = FULL_CHANGE if change is None else change
         canvas = self.canvas
         if canvas is None:
             raise RuntimeError("assign_stage before run_stage")
-        stale = (change.structural or self._shape_analyses is None
-                 or self.assignments is None
-                 or self.assignments.heuristic != self.heuristic
-                 or len(self._shape_analyses) != len(canvas.shapes))
-        if stale:
-            self._shape_analyses = [analyze_shape(canvas, shape)
-                                    for shape in canvas]
-            self._shape_sigs = [shape.trace_sig() for shape in canvas]
+        if change.structural or self.assignments is None:
             self.assignments = choose_assignments(
-                canvas, [analysis for per_shape in self._shape_analyses
-                         for analysis in per_shape], self.heuristic)
-            return self.assignments
-        # Value-only change: candidate locsets depend on trace structure
-        # alone, and the incremental canvas rebuild preserves trace
-        # objects.  Revalidate that per affected shape by identity
-        # signature; re-analyze (and re-choose globally — the fair
-        # heuristic's rotation couples zones across shapes) only if a
-        # signature fails the proof.  The lists are copied, not written
-        # into: a transaction may hold the previous ones.
-        rechoose = False
-        sigs, analyses = list(self._shape_sigs), list(self._shape_analyses)
-        for index in sorted(canvas.shapes_affected(change)):
-            shape = canvas[index]
-            sig = shape.trace_sig()
-            if sig == sigs[index]:
-                continue
-            sigs[index] = sig
-            fresh = analyze_shape(canvas, shape)
-            if fresh != analyses[index]:
-                rechoose = True
-            analyses[index] = fresh
-        self._shape_sigs, self._shape_analyses = sigs, analyses
-        if rechoose:
-            self.assignments = choose_assignments(
-                canvas, [analysis for per_shape in analyses
-                         for analysis in per_shape], self.heuristic)
+                canvas, [analysis for shape in canvas
+                         for analysis in analyze_shape(canvas, shape)],
+                self.heuristic)
         return self.assignments
 
     # -- stage 3: Trigger --------------------------------------------------------
@@ -325,21 +295,13 @@ class SyncPipeline:
         affected = canvas.shapes_affected(change)
         triggers: Dict[Tuple[int, str], MouseTrigger] = {}
         for index, keys in assignments.keys_by_shape().items():
-            fresh = index in affected
-            if not fresh:
-                shape = canvas[index]
-                for key in keys:
-                    previous = self.triggers.get(key)
-                    if (previous is None or
-                            previous.assignment is not assignments.chosen[key]):
-                        fresh = True          # re-chosen or never built
-                        break
-                else:
-                    for key in keys:
-                        triggers[key] = self.triggers[key].rebind(shape, rho)
-            if fresh:
+            if index in affected:
                 triggers.update(compute_shape_triggers(
                     canvas, assignments, index, rho))
+            else:
+                shape = canvas[index]
+                for key in keys:
+                    triggers[key] = self.triggers[key].rebind(shape, rho)
         self.triggers = triggers
         return triggers
 

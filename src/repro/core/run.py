@@ -15,15 +15,14 @@ __all__ = ["run_program", "run_source"]
 
 
 def run_program(program: Program, *, heuristic: str = "fair",
-                prepare: bool = False, record: bool = False,
-                budget=None) -> SyncPipeline:
-    """Run ``program`` through the pipeline and return it.
+                prepare: bool = False, budget=None) -> SyncPipeline:
+    """Run ``program`` through the pipeline once and return it.
 
     ``prepare=True`` also computes assignments, triggers and sliders (the
     editor's Prepare); the default stops after the Run stage, which is all
-    a render needs.  ``record=True`` keeps evaluation guards so subsequent
-    runs can be incremental (the editor's mode).  ``budget`` caps the
-    evaluation (:class:`~repro.lang.eval.EvalBudget`); a runaway program
+    a render needs.  No evaluation guards are recorded: a one-shot run is
+    never replayed (the editor's pipeline records them).  ``budget`` caps
+    the evaluation (:class:`~repro.lang.eval.EvalBudget`); a runaway program
     raises :class:`~repro.lang.errors.ResourceExhausted` instead of
     spinning.
 
@@ -34,7 +33,7 @@ def run_program(program: Program, *, heuristic: str = "fair",
     >>> len(pipeline.canvas), len(pipeline.assignments.chosen) > 0
     (1, True)
     """
-    pipeline = SyncPipeline(program, heuristic=heuristic, record=record,
+    pipeline = SyncPipeline(program, heuristic=heuristic, record=False,
                             budget=budget)
     if prepare:
         pipeline.run()
@@ -44,8 +43,8 @@ def run_program(program: Program, *, heuristic: str = "fair",
 
 
 def run_source(source: str, *, heuristic: str = "fair",
-               prepare: bool = False, record: bool = False,
-               budget=None, **parse_options) -> SyncPipeline:
+               prepare: bool = False, budget=None,
+               **parse_options) -> SyncPipeline:
     """Parse little ``source`` and run it (see :func:`run_program`).
 
     >>> pipeline = run_source("(svg [(rect 'gold' 10 20 30 40)])")
@@ -56,4 +55,4 @@ def run_source(source: str, *, heuristic: str = "fair",
     """
     return run_program(
         parse_program(source, **parse_options),
-        heuristic=heuristic, prepare=prepare, record=record, budget=budget)
+        heuristic=heuristic, prepare=prepare, budget=budget)

@@ -86,5 +86,4 @@ def add_shape(program: Program, kind: str, fill: str = "gray",
 
     new_user = _wrap_final_body(program.user_ast, wrap)
     return Program(new_user, source=program.source,
-                   with_prelude=program.with_prelude,
                    prelude_frozen=program.prelude_frozen)

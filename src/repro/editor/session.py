@@ -267,7 +267,7 @@ class LiveSession:
         classifies the edit and re-expresses it against the current
         program, so a value-only edit (only literal values changed) flows
         through the incremental pipeline exactly like a drag step — guards
-        replayed, canvas nodes shared, assignments revalidated — while a
+        replayed, canvas nodes shared, assignments kept — while a
         structural edit re-runs from scratch with surviving literals
         re-keyed to their old locations.  The previous program is pushed
         onto the undo history (identity edits excepted), and an in-flight
@@ -368,8 +368,7 @@ class LiveSession:
             "source": current.source,
             "options": {"heuristic": self.heuristic,
                         "auto_freeze": current.auto_freeze,
-                        "prelude_frozen": current.prelude_frozen,
-                        "with_prelude": current.with_prelude},
+                        "prelude_frozen": current.prelude_frozen},
             "history": [self._program_state(p, current.source)
                         for p in self.history],
             "current": self._program_state(current, current.source),
@@ -394,9 +393,10 @@ class LiveSession:
         in-flight drag is replayed so the gesture can simply continue.
         """
         options = snapshot["options"]
+        # Other keys (older snapshots carry a Prelude switch that was
+        # always on) are ignored.
         parse_options = {"auto_freeze": options["auto_freeze"],
-                         "prelude_frozen": options["prelude_frozen"],
-                         "with_prelude": options["with_prelude"]}
+                         "prelude_frozen": options["prelude_frozen"]}
         main_source = snapshot["source"]
         # A session that lived through source edits has history entries
         # based on *earlier* source texts (each carries its own ``source``

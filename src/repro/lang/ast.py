@@ -246,57 +246,49 @@ def iter_numbers(expr: Expr):
             stack.append(node.scrutinee)
 
 
-def substitute(expr: Expr, rho, collect=None) -> Expr:
+def substitute(expr: Expr, rho) -> Expr:
     """Apply a substitution ρ (mapping :class:`Loc` → number) to ``expr``.
 
     Returns a new expression; subtrees without substituted literals are
     shared with the input.  This is the "apply ρ to the original program"
     step of §2.2 — locations, annotations and structure are preserved so the
     result stays manipulable.
-
-    ``collect``, when given, is a dict that receives ``loc → new ENum`` for
-    every literal actually rewritten — the incremental ``Loc → ENum`` index
-    maintenance of the live-sync fast path.
     """
     if isinstance(expr, ENum):
         if expr.loc in rho:
             new_value = rho[expr.loc]
             if new_value != expr.value:
-                replacement = ENum(new_value, expr.loc, expr.ann,
-                                   expr.range_ann)
-                if collect is not None:
-                    collect[expr.loc] = replacement
-                return replacement
+                return ENum(new_value, expr.loc, expr.ann, expr.range_ann)
         return expr
     if isinstance(expr, ECons):
-        head = substitute(expr.head, rho, collect)
-        tail = substitute(expr.tail, rho, collect)
+        head = substitute(expr.head, rho)
+        tail = substitute(expr.tail, rho)
         if head is expr.head and tail is expr.tail:
             return expr
         return ECons(head, tail)
     if isinstance(expr, ELambda):
-        body = substitute(expr.body, rho, collect)
+        body = substitute(expr.body, rho)
         return expr if body is expr.body else ELambda(expr.pattern, body)
     if isinstance(expr, EApp):
-        fn = substitute(expr.fn, rho, collect)
-        arg = substitute(expr.arg, rho, collect)
+        fn = substitute(expr.fn, rho)
+        arg = substitute(expr.arg, rho)
         if fn is expr.fn and arg is expr.arg:
             return expr
         return EApp(fn, arg)
     if isinstance(expr, EOp):
-        args = tuple(substitute(a, rho, collect) for a in expr.args)
+        args = tuple(substitute(a, rho) for a in expr.args)
         if all(new is old for new, old in zip(args, expr.args)):
             return expr
         return EOp(expr.op, args)
     if isinstance(expr, ELet):
-        bound = substitute(expr.bound, rho, collect)
-        body = substitute(expr.body, rho, collect)
+        bound = substitute(expr.bound, rho)
+        body = substitute(expr.body, rho)
         if bound is expr.bound and body is expr.body:
             return expr
         return ELet(expr.pattern, bound, body, expr.rec, expr.from_def)
     if isinstance(expr, ECase):
-        scrutinee = substitute(expr.scrutinee, rho, collect)
-        branches = tuple((pat, substitute(branch, rho, collect))
+        scrutinee = substitute(expr.scrutinee, rho)
+        branches = tuple((pat, substitute(branch, rho))
                          for pat, branch in expr.branches)
         if scrutinee is expr.scrutinee and all(
                 new[1] is old[1] for new, old in zip(branches, expr.branches)):

@@ -13,7 +13,8 @@ float expressions and check a predicate vector":
   expression (shared nodes are computed once, exactly like the
   interpreter's per-step memo);
 * every recorded guard (comparison, ``toString``, numeric-literal match)
-  becomes one ``if ...: return None`` — the predicate vector;
+  becomes one ``if ...: return None`` — the predicate vector — and every
+  recorded partial operation is computed, so one that raises escalates;
 * the output rebuild becomes a flat sequence of ``old-if-unchanged-else
   -fresh`` node constructions mirroring ``_rebuild`` statement for
   statement, sharing every untouched subtree by identity.
@@ -218,6 +219,10 @@ class _Codegen:
             pattern = self.const_ref(pattern_value)
             self.emit(f"if {t} != {pattern}: return None" if expected
                       else f"if {t} == {pattern}: return None")
+        # A partial raises where the program would; one that also feeds
+        # the output or a guard is already emitted, so it adds nothing.
+        for trace in cache.partials:
+            self.trace_expr(trace)
 
     # -- output rebuild, flattened --------------------------------------------
 
@@ -277,7 +282,7 @@ class _Codegen:
         }
         exec(compile(source, "<repro.lang.compile>", "exec"), namespace)
         guard_charge = (len(cache.comparisons) + len(cache.tostrings)
-                        + len(cache.num_matches))
+                        + len(cache.num_matches) + len(cache.partials))
         return CompiledEvaluation(namespace["_specialized"], guard_charge,
                                   len(self.lines))
 
@@ -291,8 +296,8 @@ class CompiledEvaluation:
 
     def __init__(self, fn, guard_charge: int, statements: int):
         self._fn = fn
-        #: Fuel charged per replay: one step per recorded guard, the same
-        #: coarse accounting as the interpreted fast path.
+        #: Fuel charged per replay: one step per recorded guard and
+        #: partial, the same coarse accounting as the interpreted fast path.
         self.guard_charge = guard_charge
         #: Size of the generated function, for introspection and tests.
         self.statements = statements

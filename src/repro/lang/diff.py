@@ -297,7 +297,6 @@ def diff_programs(old: Program, new_ast: Expr, new_source: str) -> SourceDiff:
     stats = [0, 0]
     _rekey(old.user_ast, new_ast, changed, stats)
     program = Program(new_ast, source=new_source,
-                      with_prelude=old.with_prelude,
                       prelude_frozen=old.prelude_frozen,
                       auto_freeze=old.auto_freeze)
     if old.prelude_modified:

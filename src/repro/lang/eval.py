@@ -23,6 +23,13 @@ from ..trace.trace import OpTrace
 
 _MIN_RECURSION_LIMIT = 20000
 
+#: Numeric operators that can raise: ``/``, ``mod``, ``pow``, ``sqrt``,
+#: ``arccos``, ``arcsin``, and ``cos``/``sin``/``floor``/``ceiling``/
+#: ``round`` of a non-finite value.  The guard recorder keeps the trace of
+#: every application, so a replay re-checks it even where its value is
+#: dead (feeds neither the output nor a guard).
+_PARTIAL_OPS = NUMERIC_OPS - {"+", "-", "*", "neg", "abs", "pi"}
+
 #: Active guard recorder (see :mod:`repro.lang.incremental`), per thread.
 #: When set, every value-dependent control-flow decision on this thread is
 #: recorded.  A process-global here would let two sessions recording
@@ -125,12 +132,6 @@ budget: 10000 steps (fuel)
         raise ResourceExhausted(
             kind, limit, f"program exceeded its evaluation budget: "
                          f"{limit_text} {unit} ({kind})")
-
-    def step(self) -> None:
-        """One interpreter loop iteration."""
-        self.fuel += 1
-        if self.fuel > self.max_fuel:
-            self._exhausted("fuel", self.max_fuel, "steps")
 
     def consume(self, amount: int) -> None:
         """Charge ``amount`` steps at once (the replay path's coarse
@@ -441,15 +442,24 @@ def _eval_op(expr: EOp, env: Env) -> Value:
                     recorder.comparisons.append(
                         ("<", a.trace, b.trace, outcome))
                 return _TRUE if outcome else _FALSE
-            if op in NUMERIC_OPS:
+            if op in NUMERIC_OPS:         # "/", "mod", "pow": all partial
                 result = apply_numeric_op(op, (av, bv))
-                return VNum(result, OpTrace(op, (a.trace, b.trace)))
+                trace = OpTrace(op, (a.trace, b.trace))
+                recorder = getattr(_RECORDERS, "value", None)
+                if recorder is not None:
+                    recorder.partials.append(trace)
+                return VNum(result, trace)
         args = (a, b)
     elif len(operands) == 1:
         a = _eval(operands[0], env)
         if type(a) is VNum and op in NUMERIC_OPS:
             result = apply_numeric_op(op, (a.value,))
-            return VNum(result, OpTrace(op, (a.trace,)))
+            trace = OpTrace(op, (a.trace,))
+            if op in _PARTIAL_OPS:
+                recorder = getattr(_RECORDERS, "value", None)
+                if recorder is not None:
+                    recorder.partials.append(trace)
+            return VNum(result, trace)
         args = (a,)
     else:
         args = tuple(_eval(arg, env) for arg in operands)

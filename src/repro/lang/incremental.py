@@ -9,20 +9,25 @@ whole program per mouse-move, we can:
 1. run the program **once**, recording every place where a *value*
    influenced *control flow* — numeric comparisons, ``toString`` on
    numbers, and numeric-literal pattern matches — together with the
-   operand traces and observed outcomes (the *guards*);
+   operand traces and observed outcomes (the *guards*), plus the trace of
+   every numeric operation that can raise (the *partials*);
 2. on each subsequent ρ, check that every guard evaluates to the same
-   outcome.  If so, the re-run is guaranteed to take the same path, and
-   the new output is the old output with each numeric leaf replaced by
-   ``ρt`` of its (unchanged) trace;
+   outcome and every partial still evaluates.  If so, the re-run is
+   guaranteed to take the same path without error, and the new output is
+   the old output with each numeric leaf replaced by ``ρt`` of its
+   (unchanged) trace;
 3. if any guard flips (a clamp saturates, a branch changes, a list length
-   would differ), fall back to a full evaluation and re-record.
+   would differ) or a partial raises, fall back to a full evaluation,
+   which re-records — or raises the error a from-scratch run would.
 
 The rebuilt values are bit-identical to a from-scratch evaluation: the
 trace records the exact float-operation tree the evaluator would execute.
 
-Limitations (by construction): a number that is computed but feeds neither
-the output nor any guard is not re-evaluated, so a domain error hiding in
-dead arithmetic would not abort an incremental step.  Guards are
+Limitations: a number that is computed but feeds neither the output, a
+guard, nor a partial operation is not re-evaluated.  That is safe because
+``+``, ``-``, ``*``, ``neg``, ``abs`` and ``pi`` never raise on floats;
+every operator that can is a partial, recorded even when its value is
+dead, so no replay commits a state its own source cannot run.  Guards are
 conservative everywhere control flow can observe a number.
 """
 
@@ -39,9 +44,10 @@ __all__ = ["EvalCache", "record_evaluation", "reevaluate"]
 
 
 class Recorder:
-    """Collects guards during one full evaluation."""
+    """Collects guards and partial operations during one full
+    evaluation."""
 
-    __slots__ = ("comparisons", "tostrings", "num_matches")
+    __slots__ = ("comparisons", "tostrings", "num_matches", "partials")
 
     def __init__(self):
         # (op, left trace, right trace, outcome)
@@ -50,20 +56,24 @@ class Recorder:
         self.tostrings: List[Tuple[object, str]] = []
         # (trace, pattern value, matched?)
         self.num_matches: List[Tuple[object, float, bool]] = []
+        # traces of the numeric operations that can raise
+        self.partials: List[object] = []
 
 
 class EvalCache:
     """A recorded run: the output value plus the guards that pin down its
-    control flow.  Valid for any ρ under which every guard holds."""
+    control flow.  Valid for any ρ under which every guard holds and every
+    partial operation evaluates."""
 
     __slots__ = ("output", "comparisons", "tostrings", "num_matches",
-                 "compiled", "compile_failed")
+                 "partials", "compiled", "compile_failed")
 
     def __init__(self, output: Value, recorder: Recorder):
         self.output = output
         self.comparisons = recorder.comparisons
         self.tostrings = recorder.tostrings
         self.num_matches = recorder.num_matches
+        self.partials = recorder.partials
         #: Lazily attached :class:`~repro.lang.compile.CompiledEvaluation`
         #: (:func:`~repro.lang.compile.ensure_compiled`).  Lives and dies
         #: with this recording: a guard flip or structural change replaces
@@ -160,21 +170,23 @@ def reevaluate(cache: EvalCache, rho: Dict[Loc, float]) -> Optional[Value]:
     """Re-run the recorded evaluation under a new ρ.
 
     Returns the new output value — bit-identical to a from-scratch
-    evaluation — or ``None`` when some guard no longer holds (the caller
-    must fall back to a full evaluation).
+    evaluation — or ``None`` when some guard no longer holds or some
+    partial operation raises (the caller must fall back to a full
+    evaluation).
     """
     rho = {loc.ident: value for loc, value in rho.items()}
     memo: Dict[int, float] = {}
-    # Coarse budget accounting for the fast path: one fuel step per guard,
-    # charged up front.  Deliberately *before* the try — an exhausted
-    # budget must propagate as ResourceExhausted (a LittleRuntimeError
-    # subtype), not be swallowed as a guard flip, which would send the
-    # caller into an even more expensive full re-evaluation.
+    # Coarse budget accounting for the fast path: one fuel step per guard
+    # and per partial, charged up front.  Deliberately *before* the try —
+    # an exhausted budget must propagate as ResourceExhausted (a
+    # LittleRuntimeError subtype), not be swallowed as a guard flip, which
+    # would send the caller into an even more expensive full
+    # re-evaluation.
     from . import eval as eval_module
     budget = eval_module.get_budget()
     if budget is not None:
         budget.consume(len(cache.comparisons) + len(cache.tostrings)
-                       + len(cache.num_matches))
+                       + len(cache.num_matches) + len(cache.partials))
     try:
         for op, left, right, expected in cache.comparisons:
             if _compare(op, _trace_value(left, rho, memo),
@@ -186,6 +198,8 @@ def reevaluate(cache: EvalCache, rho: Dict[Loc, float]) -> Optional[Value]:
         for trace, pattern_value, expected in cache.num_matches:
             if (_trace_value(trace, rho, memo) == pattern_value) != expected:
                 return None
+        for trace in cache.partials:    # raises where the program would
+            _trace_value(trace, rho, memo)
         return _rebuild(cache.output, rho, memo)
     except (KeyError, LittleRuntimeError, RecursionError):
         return None

@@ -38,17 +38,15 @@ class Program:
     """A parsed little program, ready to evaluate and synthesize against."""
 
     __slots__ = ("_user_ast", "_lazy_base", "_lazy_rho", "source",
-                 "with_prelude", "prelude_frozen", "auto_freeze", "rho0",
-                 "last_change", "_ast", "_num_index", "_prelude_modified")
+                 "prelude_frozen", "auto_freeze", "rho0", "last_change",
+                 "_ast", "_num_index", "_prelude_modified")
 
     def __init__(self, user_ast: Expr, *, source: str = "",
-                 with_prelude: bool = True, prelude_frozen: bool = True,
-                 auto_freeze: bool = False):
+                 prelude_frozen: bool = True, auto_freeze: bool = False):
         self._user_ast = user_ast
         self._lazy_base: Optional[Expr] = None
         self._lazy_rho: Optional[Dict[Loc, float]] = None
         self.source = source
-        self.with_prelude = with_prelude
         self.prelude_frozen = prelude_frozen
         #: The parse mode that produced ``user_ast`` from ``source`` — kept
         #: so a snapshot (``LiveSession.snapshot``) can re-parse the same
@@ -61,11 +59,8 @@ class Program:
         #: contract of repro.core): a freshly parsed/constructed program has
         #: no predecessor, so everything downstream must be (re)computed.
         self.last_change: ChangeSet = FULL_CHANGE
-        if with_prelude:
-            self.rho0 = dict(prelude_rho0(prelude_frozen))
-            self.rho0.update(collect_rho0(user_ast))
-        else:
-            self.rho0 = collect_rho0(user_ast)
+        self.rho0 = dict(prelude_rho0(prelude_frozen))
+        self.rho0.update(collect_rho0(user_ast))
 
     # -- the user AST (rewritten lazily; the drag loop never reads it) ---------
 
@@ -91,14 +86,11 @@ class Program:
     def ast(self) -> Expr:
         """User AST wrapped in the Prelude's ``ELet`` spine."""
         if self._ast is None:
-            if self.with_prelude:
-                ast = self.user_ast
-                for pattern, bound, rec in reversed(
-                        prelude_bindings(self.prelude_frozen)):
-                    ast = ELet(pattern, bound, ast, rec=rec, from_def=True)
-                self._ast = ast
-            else:
-                self._ast = self.user_ast
+            ast = self.user_ast
+            for pattern, bound, rec in reversed(
+                    prelude_bindings(self.prelude_frozen)):
+                ast = ELet(pattern, bound, ast, rec=rec, from_def=True)
+            self._ast = ast
         return self._ast
 
     def _index(self) -> Dict[Loc, ENum]:
@@ -118,14 +110,14 @@ class Program:
         the full combined ``ELet`` spine (used by benchmarks and as the
         fallback once Prelude literals have been substituted).
         """
-        if naive or self._prelude_modified or not self.with_prelude:
+        if naive or self._prelude_modified:
             return evaluate(self.ast)
         return evaluate(self.user_ast, prelude_env(self.prelude_frozen))
 
     def substitute(self, rho: Dict[Loc, float]) -> "Program":
         """Apply a local update ρ, yielding the new program ρe (§2.2)."""
         touches_prelude = any(loc.in_prelude for loc in rho)
-        if touches_prelude or self._prelude_modified or not self.with_prelude:
+        if touches_prelude or self._prelude_modified:
             return self._substitute_full(rho)
         # Fast path: ρ only touches user literals.  Use the Loc → ENum
         # index to drop no-op entries and update rho0/index by dict-merge —
@@ -157,7 +149,6 @@ class Program:
                 program._lazy_base = self._lazy_base
                 program._lazy_rho = merged
         program.source = self.source
-        program.with_prelude = self.with_prelude
         program.prelude_frozen = self.prelude_frozen
         program.auto_freeze = self.auto_freeze
         program._ast = None
@@ -180,16 +171,11 @@ class Program:
         program._lazy_base = None
         program._lazy_rho = None
         program.source = self.source
-        program.with_prelude = self.with_prelude
         program.prelude_frozen = self.prelude_frozen
         program.auto_freeze = self.auto_freeze
         program.last_change = ChangeSet.of(rho)
-        if self.with_prelude:
-            program._ast = substitute(self.ast, rho)
-            program._prelude_modified = True
-        else:
-            program._ast = program.user_ast
-            program._prelude_modified = False
+        program._ast = substitute(self.ast, rho)
+        program._prelude_modified = True
         program._num_index = None
         program.rho0 = dict(self.rho0)
         program.rho0.update(rho)
@@ -245,8 +231,7 @@ class Program:
         return sliders
 
 
-def parse_program(source: str, *, with_prelude: bool = True,
-                  prelude_frozen: bool = True,
+def parse_program(source: str, *, prelude_frozen: bool = True,
                   auto_freeze: bool = False) -> Program:
     """Parse little source (``(def …)* expr``) into a :class:`Program`.
 
@@ -254,5 +239,5 @@ def parse_program(source: str, *, with_prelude: bool = True,
     (the alternative mode of Appendix C, "Thawing and Freezing Constants").
     """
     user_ast = parse_top_level(source, auto_freeze=auto_freeze)
-    return Program(user_ast, source=source, with_prelude=with_prelude,
-                   prelude_frozen=prelude_frozen, auto_freeze=auto_freeze)
+    return Program(user_ast, source=source, prelude_frozen=prelude_frozen,
+                   auto_freeze=auto_freeze)

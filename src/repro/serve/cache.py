@@ -51,11 +51,10 @@ class CompiledProgram:
 
 
 def source_key(source: str, *, auto_freeze: bool = False,
-               prelude_frozen: bool = True,
-               with_prelude: bool = True) -> Tuple[str, bool, bool, bool]:
+               prelude_frozen: bool = True) -> Tuple[str, bool, bool]:
     """The cache key: source hash + every option that affects parsing."""
     digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    return (digest, auto_freeze, prelude_frozen, with_prelude)
+    return (digest, auto_freeze, prelude_frozen)
 
 
 class _Flight:
@@ -107,15 +106,14 @@ class CompileCache:
         return len(self._entries)
 
     def compile(self, source: str, *, auto_freeze: bool = False,
-                prelude_frozen: bool = True, with_prelude: bool = True
+                prelude_frozen: bool = True
                 ) -> Tuple[CompiledProgram, bool]:
         """Parse + evaluate ``source`` (or reuse), returning
         ``(compiled, cache_hit)``.  Parse and runtime errors propagate as
         :class:`~repro.lang.errors.LittleError`; failures are not cached.
         """
         key = source_key(source, auto_freeze=auto_freeze,
-                         prelude_frozen=prelude_frozen,
-                         with_prelude=with_prelude)
+                         prelude_frozen=prelude_frozen)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -144,8 +142,7 @@ class CompileCache:
         try:
             fail_point(self.faults, "compile.leader")
             program = parse_program(source, auto_freeze=auto_freeze,
-                                    prelude_frozen=prelude_frozen,
-                                    with_prelude=with_prelude)
+                                    prelude_frozen=prelude_frozen)
             budget = self.budget.clone() if self.budget is not None else None
             with budget_scope(budget):
                 output, eval_cache = record_evaluation(program)

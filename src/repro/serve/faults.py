@@ -153,10 +153,6 @@ class FaultPlan:
         with self._lock:
             return dict(self._fired)
 
-    def total_fired(self) -> int:
-        with self._lock:
-            return sum(self._fired.values())
-
 
 def fail_point(plan: Optional[FaultPlan], point: str) -> None:
     """``plan.fire(point)`` tolerating ``plan=None`` (the common case:

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..editor.session import LiveSession
 from ..examples.registry import example_source
+from ..lang.errors import LittleError
 from .cache import CompileCache
 from .faults import fail_point
 from .shard import SessionShard, shard_index
@@ -423,7 +424,14 @@ class SessionManager:
             # yet) is in flight — report it as such, not as a 404.
             self._entry(session_id)
             raise SessionExpired(session_id)
-        session = self._restore(snapshot)
+        try:
+            session = self._restore(snapshot)
+        except LittleError:
+            # The stored program no longer runs, and its snapshot is
+            # already popped: expire the session (counted, tombstoned)
+            # rather than keep an entry with nothing behind it.
+            self._expire([session_id])
+            raise
         shard.note_rehydrated()
         shard.admit(session_id, session)
         self._shed(shard, exclude=session_id)

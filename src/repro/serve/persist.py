@@ -43,6 +43,9 @@ from .faults import FaultPlan, InjectedFault, fail_point
 
 __all__ = ["StatePersister", "load_state"]
 
+#: Seconds the background thread waits between batched flushes.
+FLUSH_INTERVAL = 0.25
+
 
 def _session_path(state_dir: str, session_id: str) -> str:
     return os.path.join(state_dir, f"{session_id}.json")
@@ -60,13 +63,11 @@ class StatePersister:
 
     def __init__(self, state_dir: str,
                  payload_fn: Callable[[str], Optional[dict]], *,
-                 interval: float = 0.25,
                  faults: Optional[FaultPlan] = None,
                  log: Optional[Callable[[str], None]] = None):
         self.state_dir = state_dir
         os.makedirs(state_dir, exist_ok=True)
         self._payload_fn = payload_fn
-        self._interval = interval
         self._faults = faults
         self._log = log
         self._dirty: set = set()
@@ -113,7 +114,7 @@ class StatePersister:
 
     def _run(self) -> None:
         while not self._stopping.is_set():
-            self._wake.wait(self._interval)
+            self._wake.wait(FLUSH_INTERVAL)
             self._wake.clear()
             self.flush()
 

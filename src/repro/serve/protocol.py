@@ -50,7 +50,7 @@ mouse-move floods without waiting on each response.
 ``edit`` replaces the session's source text through the structural differ
 (:func:`repro.lang.diff.diff_source`): a value-only edit *re-keys* the
 live session in place — the pipeline replays its recorded evaluation and
-revalidates its Prepare caches, never touching the shared
+reuses its Prepare results, never touching the shared
 :class:`~repro.serve.cache.CompileCache` — instead of re-seeding a fresh
 session from a new compile.  The response reports the classification and
 the rewritten locations; a parse error returns ``parse_error`` and leaves

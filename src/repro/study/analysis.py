@@ -20,10 +20,6 @@ class ComparisonResult:
     paper_mean: float
     paper_interval: tuple
 
-    @property
-    def mean_matches_paper(self) -> bool:
-        return abs(self.estimate.mean - self.paper_mean) < 1e-9
-
 
 def analyze_comparison(comparison: str, task: str, **bootstrap_kwargs
                        ) -> ComparisonResult:

@@ -127,16 +127,6 @@ class Shape:
             traces.extend(_attr_traces(key, value))
         return traces
 
-    def trace_sig(self) -> Tuple[int, ...]:
-        """Identity signature of the shape's attribute traces.
-
-        The incremental canvas rebuild (:meth:`Canvas.rebuilt`) preserves
-        trace objects, so an unchanged signature proves the shape's zone
-        structure and candidate location sets are exactly those of the
-        previous Prepare — without re-walking any trace.
-        """
-        return tuple(id(trace) for trace in self.attr_traces())
-
     def dep_locs(self) -> frozenset:
         """``Loc.ident`` of every location (frozen or not) appearing in any
         attribute trace — "which changes could affect this shape?"."""

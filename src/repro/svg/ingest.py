@@ -165,14 +165,13 @@ def ingest_file(path, *, budget=None) -> IngestResult:
     return ingest_text(xml_text, name=path.name, budget=budget)
 
 
-def ingest_directory(directory, *, pattern: str = "*.svg",
-                     budget=None) -> IngestReport:
-    """Ingest every ``pattern`` file directly under ``directory``
-    (sorted by name; not recursive — quarantine subfolders stay out of
-    the green corpus)."""
+def ingest_directory(directory, *, budget=None) -> IngestReport:
+    """Ingest every ``*.svg`` file directly under ``directory`` (sorted
+    by name; not recursive — quarantine subfolders stay out of the green
+    corpus)."""
     directory = pathlib.Path(directory)
     report = IngestReport()
-    for path in sorted(directory.glob(pattern)):
+    for path in sorted(directory.glob("*.svg")):
         if path.is_file():
             report.results.append(ingest_file(path, budget=budget))
     return report

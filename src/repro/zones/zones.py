@@ -32,9 +32,6 @@ class Zone:
     name: str
     features: Tuple[Feature, ...]
 
-    def controlled_attrs(self) -> Tuple[str, ...]:
-        return tuple(feature.ref.name for feature in self.features)
-
 
 def _simple(key: str, axis: str, sign: int = 1) -> Feature:
     return Feature(AttrRef(key, (key,)), axis, sign)

@@ -34,6 +34,11 @@ from repro.lang.incremental import record_evaluation
 from repro.serve.faults import FaultPlan, InjectedFault, fail_point
 from repro.trace.trace import trace_key
 
+#: ``dead``'s square root feeds neither the output nor a guard; x below
+#: 20 makes it raise, so a from-scratch run of that state fails.
+DEAD_SQRT = ("(def x 30) (def dead (sqrt (- x 20))) "
+             "(svg [(rect 'red' x 20 30 40)])")
+
 #: Gesture shape mirroring tests/test_incremental_prepare.py.
 MAX_STEPS = 4
 
@@ -400,3 +405,15 @@ def test_artifact_answers_match_interpreter_verdicts():
     partial = {l: value for l, value in program.rho0.items() if l is not loc}
     assert artifact.replay(partial) is None
     assert reevaluate(cache, partial) is None
+
+    # Failing arithmetic whose value is dead still escalates.
+    program = parse_program(DEAD_SQRT)
+    _, cache = record_evaluation(program)
+    artifact = specialize(cache)
+    x = program.user_locs()[0]
+    held = program.substitute({x: 25.0}).rho0
+    assert artifact.replay(held) is not None
+    assert reevaluate(cache, held) is not None
+    failing = program.substitute({x: 15.0}).rho0
+    assert artifact.replay(failing) is None
+    assert reevaluate(cache, failing) is None

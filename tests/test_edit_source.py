@@ -40,13 +40,16 @@ class TestValueEdits:
 
     def test_value_edit_preserves_unaffected_traces(self):
         session = LiveSession(example_source("three_boxes"))
-        before = [shape.trace_sig() for shape in session.canvas]
+        # The lists keep the old trace objects alive, so an id match is
+        # an identity match.
+        traces = [shape.attr_traces() for shape in session.canvas]
         text = session.source().replace("[40 28", "[40 45")   # y0: 28 → 45
         assert session.edit_source(text).kind == "value"
-        after = [shape.trace_sig() for shape in session.canvas]
         # Trace identity: the incremental canvas rebuild kept every trace
-        # object (signatures are identity-based), exactly like a drag.
-        assert after == before
+        # object, exactly like a drag.
+        assert [[id(trace) for trace in shape.attr_traces()]
+                for shape in session.canvas] == \
+            [[id(trace) for trace in kept] for kept in traces]
         assert_matches_fresh(session)
 
     def test_value_edit_pushes_history_and_undoes_incrementally(self):

@@ -16,7 +16,8 @@ from repro.cli import main
 from repro.core.pipeline import SyncPipeline
 from repro.core.run import run_source
 from repro.editor.session import LiveSession
-from repro.lang.errors import LittleError, ResourceExhausted
+from repro.lang.errors import (LittleError, LittleRuntimeError,
+                               ResourceExhausted)
 from repro.lang.eval import EvalBudget, budget_scope, evaluate
 from repro.lang.program import parse_program
 
@@ -46,6 +47,11 @@ FLIP_TO_RECT = ("(def x 30) (if (< x 20) ['rect' [] []] "
 PREPARE_REJECTS = ("(def x 30) (svg [(if (< x 20) ['rect' [['x' 'a'] "
                    "['y' 1] ['width' 2] ['height' 3]] []] "
                    "(rect 'red' x 20 30 40))])")
+
+#: ``dead``'s square root feeds neither the output nor a guard; dragging
+#: x below 20 makes it raise.
+DEAD_SQRT = ("(def x 30) (def dead (sqrt (- x 20))) "
+             "(svg [(rect 'red' x 20 30 40)])")
 
 #: A slider whose low end makes the program take a negative square root.
 SLIDER_SQRT = "(def r 10{0-20}) (svg [(rect 'red' (sqrt (- r 5)) 20 30 40)])"
@@ -188,6 +194,25 @@ class TestSessionRollback:
         assert session.dragging is None
         session.undo()
         assert session.source().startswith("(def x 30)")
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_dead_failing_arithmetic_fails_the_step(self, compiled):
+        # Both replay tiers must fail the step a from-scratch run of its
+        # source would fail, even where the failing value is dead.
+        session = LiveSession(DEAD_SQRT, compiled=compiled)
+        session.start_drag(0, "INTERIOR")
+        session.drag(-5.0, 0.0)
+        assert (session.pipeline._eval_cache.compiled is not None) \
+            == compiled                     # the next step's tier
+        before = session.source()
+        with pytest.raises(LittleRuntimeError, match="sqrt"):
+            session.drag(-15.0, 0.0)
+        assert session.source() == before
+        session.release()
+        assert session.source().startswith("(def x 25)")
+        svg = run_source(session.source()).render()
+        assert session.export_svg() == svg
+        assert LiveSession.restore(session.snapshot()).export_svg() == svg
 
     @staticmethod
     def compiled_session():

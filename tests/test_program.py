@@ -1,8 +1,6 @@
 """Tests for the Program container: Prelude sharing, substitution fast
 paths, slider collection, unparse behaviour."""
 
-import pytest
-
 from repro.lang import parse_program
 from repro.lang.prelude import prelude_bindings, prelude_source
 
@@ -47,17 +45,6 @@ class TestProgramQueries:
         loc, lo, hi, current = annotations[0]
         assert (lo, hi, current) == (3.0, 30.0, 12.0)
         assert loc.display() == "n"
-
-    def test_without_prelude(self):
-        program = parse_program("(+ 1 2)", with_prelude=False)
-        assert program.evaluate().value == 3.0
-        assert all(not loc.in_prelude for loc in program.rho0)
-
-    def test_without_prelude_cannot_use_library(self):
-        from repro.lang.errors import LittleRuntimeError
-        program = parse_program("(map (\\x x) [1])", with_prelude=False)
-        with pytest.raises(LittleRuntimeError):
-            program.evaluate()
 
 
 class TestSubstitutionPaths:

@@ -21,9 +21,15 @@ from repro.editor import LiveSession
 from repro.examples import example_source
 from repro.serve import (CompileCache, ServeApp, SessionManager,
                          UnknownSession, make_server)
+from repro.serve.persist import StatePersister, load_state
 from repro.svg.importer import svg_to_little
 
 THREE_BOXES = example_source("three_boxes")
+
+#: ``dead``'s square root feeds neither the output nor a guard; x below
+#: 20 makes it raise, so a from-scratch run of that state fails.
+DEAD_SQRT = ("(def x 30) (def dead (sqrt (- x 20))) "
+             "(svg [(rect 'red' x 20 30 40)])")
 
 
 def open_session(app, **fields):
@@ -288,6 +294,56 @@ class TestEvictionRehydration:
         assert manager.stats()["expired"] == 1
         with pytest.raises(UnknownSession):
             manager.get(sid_a)
+
+    def test_dead_failing_arithmetic_never_commits(self, tmp_path):
+        manager = SessionManager(max_sessions=1)
+        persister = StatePersister(str(tmp_path), manager.persist_payload)
+        manager.attach_persister(persister)
+        app = ServeApp(manager=manager)
+        sid = open_session(app, source=DEAD_SQRT)["session"]
+        drag = {"cmd": "drag", "session": sid, "shape": 0,
+                "zone": "INTERIOR"}
+        assert app.handle({**drag, "steps": [[-5, 0]]})["ok"]
+        failed = app.handle({**drag, "steps": [[-15, 0]]})
+        assert failed["error"]["code"] == "program_error"
+        assert app.handle({"cmd": "release", "session": sid})["ok"]
+        source = app.handle({"cmd": "source", "session": sid})["source"]
+        expected = run_source(source).render()
+        open_session(app, source=THREE_BOXES)          # evicts sid
+        assert manager.stats()["evicted"] == 1
+        rendered = app.handle({"cmd": "render", "session": sid})
+        assert rendered["ok"], rendered
+        assert rendered["svg"] == expected
+        manager.flush_state()
+        persister.stop(flush=True)
+        restarted = SessionManager()
+        payloads, corrupt = load_state(str(tmp_path))
+        assert corrupt == 0
+        assert restarted.load_state(payloads) == 2
+        rendered = ServeApp(manager=restarted).handle(
+            {"cmd": "render", "session": sid})
+        assert rendered["ok"], rendered
+        assert rendered["svg"] == expected
+        assert manager.stats()["incidents"] == 0
+        assert restarted.stats()["incidents"] == 0
+
+    def test_stored_session_that_no_longer_runs_expires(self):
+        # A state file is input from outside the program: its snapshot
+        # may name a state whose program fails to run.
+        snapshot = LiveSession(DEAD_SQRT).snapshot()
+        snapshot["current"]["user"][0] = 15.0
+        manager = SessionManager()
+        manager.load_state([{"sid": "s7", "seq": 0, "pending": None,
+                             "snapshot": snapshot}])
+        app = ServeApp(manager=manager)
+        first = app.handle({"cmd": "render", "session": "s7"})
+        assert first["error"]["code"] == "program_error"
+        second = app.handle({"cmd": "render", "session": "s7"})
+        assert second["error"]["code"] == "session_expired"
+        stats = manager.stats()
+        assert stats["expired"] == 1
+        assert stats["live_sessions"] == stats["snapshotted_sessions"] == 0
+        assert stats["incidents"] == 0
 
     def test_close_forgets_live_and_snapshotted(self):
         manager = SessionManager(max_sessions=1)
