@@ -18,6 +18,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 from typing import List, Optional
@@ -360,7 +361,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        status = args.handler(args)
+        # Flush here so a closed pipe raises inside this ``try``.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away first (``repro run FILE | head``).  Point
+        # stdout at /dev/null so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

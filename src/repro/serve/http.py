@@ -36,6 +36,11 @@ MAX_BODY = 1 << 20
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    # Every response is two writes (``end_headers``, then the body).  With
+    # Nagle's algorithm the body waits for the client's delayed ACK of the
+    # headers, about 40 ms on a keep-alive connection; ``TCP_NODELAY``
+    # sends it at once.
+    disable_nagle_algorithm = True
 
     # -- helpers ----------------------------------------------------------------
 
@@ -44,6 +49,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -72,6 +79,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(404, "not_found", f"no route {self.path!r}")
 
     def do_POST(self) -> None:                  # noqa: N802 (stdlib casing)
+        # The drain waits for every command admitted here before it
+        # persists; one that arrives after the drain began is refused
+        # instead of acknowledged and then lost at exit.
+        if not self.server.admit():
+            self._send_error(503, "draining", "the server is shutting down")
+            return
+        try:
+            self._post()
+        finally:
+            self.server.retire()
+
+    def _post(self) -> None:
         if self.path not in ("/", "/api"):
             self._send_error(404, "not_found", f"no route {self.path!r}")
             return
@@ -101,6 +120,8 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _Server(ThreadingHTTPServer):
+    # An idle keep-alive connection must not hold up exit; the drain
+    # waits on admitted commands instead of on handler threads.
     daemon_threads = True
     allow_reuse_address = True
 
@@ -108,6 +129,33 @@ class _Server(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.app = app
         self.verbose = verbose
+        self._commands = threading.Condition()
+        self._in_flight = 0
+        self._draining = False
+
+    def admit(self) -> bool:
+        """Count one POSTed command in, or refuse it once the drain began."""
+        with self._commands:
+            if self._draining:
+                return False
+            self._in_flight += 1
+            return True
+
+    def retire(self) -> None:
+        """An admitted command has been answered."""
+        with self._commands:
+            self._in_flight -= 1
+            self._commands.notify_all()
+
+    def drain(self) -> None:
+        """Refuse every command from now on; :meth:`wait_drained` then
+        returns once the admitted ones have answered."""
+        with self._commands:
+            self._draining = True
+
+    def wait_drained(self) -> None:
+        with self._commands:
+            self._commands.wait_for(lambda: not self._in_flight)
 
 
 def make_server(host: str, port: int, app: Optional[ServeApp] = None, *,
@@ -130,7 +178,10 @@ def run_server(host: str = "127.0.0.1", port: int = 8000, *,
 
     ``SIGTERM`` drains gracefully — stop accepting, finish in-flight
     requests, persist every session, exit 0 — so a supervisor's routine
-    restart never loses state.
+    restart never loses state.  From the signal on, a command that
+    arrives, even on an open keep-alive connection, answers 503
+    ``draining`` and is not applied: every command answered ``ok`` is
+    persisted.
     """
     log = (lambda message: sys.stderr.write(f"repro serve: {message}\n")) \
         if verbose else None
@@ -154,6 +205,7 @@ def run_server(host: str = "127.0.0.1", port: int = 8000, *,
 
     def _drain(signum, frame):
         draining.set()
+        server.drain()
         # ``shutdown`` blocks until ``serve_forever`` exits; calling it
         # from this handler (which runs *on* the serving thread) would
         # deadlock, so hand it to a helper thread.
@@ -176,9 +228,11 @@ def run_server(host: str = "127.0.0.1", port: int = 8000, *,
     except KeyboardInterrupt:
         print("repro serve: shutting down")
     finally:
-        # ``server_close`` joins the in-flight request threads
-        # (``block_on_close``), so every accepted command completes
-        # before state is flushed.
+        # Handler threads are daemons, so ``server_close`` joins none of
+        # them; the flush waits on the commands admitted before the drain
+        # instead, and a keep-alive connection's next one answers 503.
+        server.drain()
+        server.wait_drained()
         server.server_close()
         if persister is not None:
             app.manager.flush_state()

@@ -1,7 +1,11 @@
 """Shared fixtures for the test suite."""
 
+import os
+import pathlib
+
 import pytest
 
+import repro
 from repro.editor import LiveSession
 from repro.lang import parse_program
 from repro.svg import Canvas
@@ -23,6 +27,15 @@ THREE_BOXES_SOURCE = """
     (rect 'lightblue' xi y0 w h))))
 (svg (map boxi (zeroTo 3!)))
 """
+
+
+@pytest.fixture
+def repro_env():
+    """The environment for a ``python -m repro`` subprocess, with this
+    checkout's ``src/`` first on ``PYTHONPATH``."""
+    src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture

@@ -1,8 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+from repro.examples import example_source
 
 LITTLE_SOURCE = """
 (def [x y] [10 20])
@@ -51,6 +56,23 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.err.startswith("repro run: cannot read")
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_run_into_closed_pipe_ends_without_traceback(self, tmp_path,
+                                                         repro_env):
+        # ``repro run FILE | head``: the reader closes the pipe first.
+        path = tmp_path / "three_boxes.little"
+        path.write_text(example_source("three_boxes"), encoding="utf-8")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "run", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, env=repro_env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in result.stderr.decode()
+        assert result.returncode == 1
 
     def test_run_unparsable_file_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "broken.little"

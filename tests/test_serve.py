@@ -11,8 +11,14 @@ Three invariants drive the suite:
    errors, never tracebacks.
 """
 
+import http.client
 import json
+import re
+import signal
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
@@ -501,8 +507,6 @@ class TestHttpTransport:
         server.server_close()
 
     def post(self, server, payload, raw=None):
-        import http.client
-
         host, port = server.server_address[:2]
         conn = http.client.HTTPConnection(host, port, timeout=10)
         try:
@@ -544,8 +548,6 @@ class TestHttpTransport:
         assert status == 400 and response["error"]["code"] == "bad_request"
 
     def test_health_and_stats_probes(self, server):
-        import http.client
-
         host, port = server.server_address[:2]
         conn = http.client.HTTPConnection(host, port, timeout=10)
         try:
@@ -560,6 +562,197 @@ class TestHttpTransport:
             response.read()
         finally:
             conn.close()
+
+    def test_keep_alive_requests_do_not_stall(self, server):
+        # Each response is two writes; without TCP_NODELAY the second one
+        # waits about 40 ms for the client's delayed ACK of the first.
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        headers = {"Content-Type": "application/json"}
+        try:
+            conn.request("POST", "/api", json.dumps(
+                {"cmd": "open", "example": "three_boxes"}), headers)
+            sid = json.loads(conn.getresponse().read())["session"]
+            render = json.dumps({"cmd": "render", "session": sid})
+            for method, path, body in (("POST", "/api", render),
+                                       ("GET", "/stats", None)):
+                start = time.perf_counter()
+                for _ in range(20):
+                    conn.request(method, path, body, headers)
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    response.read()
+                assert time.perf_counter() - start < 0.4, (method, path)
+        finally:
+            conn.close()
+
+    def test_drain_waits_for_admitted_commands(self, server, monkeypatch):
+        app = server.app
+        source = "(def x 10) (svg [(rect 'teal' x 20 30 40)])"
+        sid = open_session(app, source=source)["session"]
+        edit = {"cmd": "edit", "session": sid,
+                "source": source.replace("10", "11")}
+        entered = threading.Event()
+        handle = app.handle
+
+        def handle_and_signal(request):
+            entered.set()
+            return handle(request)
+
+        monkeypatch.setattr(app, "handle", handle_and_signal)
+        answers = []
+        client = threading.Thread(
+            target=lambda: answers.append(self.post(server, edit)))
+        drained = threading.Thread(target=server.wait_drained, daemon=True)
+        with app.manager.locked(sid):
+            client.start()
+            assert entered.wait(10)     # admitted, blocked on the lock
+            server.drain()
+            drained.start()
+            drained.join(0.2)
+            assert drained.is_alive()
+            status, refused = self.post(server, edit)
+            assert status == 503
+            assert refused["error"]["code"] == "draining"
+            assert drained.is_alive()
+        client.join(10)
+        drained.join(10)
+        assert not client.is_alive() and not drained.is_alive()
+        status, answer = answers[0]
+        assert status == 200 and answer["ok"]
+        assert answer["source"] == LiveSession(edit["source"]).source()
+
+    def test_drain_under_concurrent_load(self, server, monkeypatch):
+        # More keep-alive clients than cores and a short switch interval:
+        # when the drain returns no command is still inside ``handle``,
+        # and each client's commands answer ``ok`` until one answers 503.
+        app = server.app
+        sids = [open_session(app, example="three_boxes")["session"]
+                for _ in range(6)]
+        lock = threading.Lock()
+        inside = [0]
+        handle = app.handle
+
+        def counted(request):
+            with lock:
+                inside[0] += 1
+            try:
+                return handle(request)
+            finally:
+                with lock:
+                    inside[0] -= 1
+
+        monkeypatch.setattr(app, "handle", counted)
+        host, port = server.server_address[:2]
+        statuses = [[] for _ in sids]
+        stop = threading.Event()
+
+        def client(index):
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                while not stop.is_set() and (not statuses[index]
+                                             or statuses[index][-1] == 200):
+                    status, _ = call(conn, {"cmd": "render",
+                                            "session": sids[index]})
+                    statuses[index].append(status)
+            finally:
+                conn.close()
+
+        seen_inside = []
+
+        def drain():
+            server.wait_drained()
+            with lock:
+                seen_inside.append(inside[0])
+
+        clients = [threading.Thread(target=client, args=(index,),
+                                    daemon=True)
+                   for index in range(len(sids))]
+        drainer = threading.Thread(target=drain, daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in clients:
+                thread.start()
+            time.sleep(0.3)
+            server.drain()
+            drainer.start()
+            drainer.join(30)
+            for thread in clients:
+                thread.join(30)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        assert not drainer.is_alive() and seen_inside == [0]
+        assert not any(thread.is_alive() for thread in clients)
+        for answered in statuses:
+            assert answered[-1] == 503
+            assert set(answered[:-1]) == {200}
+
+
+def start_serve(state_dir, env):
+    """``repro serve --port 0 --state-dir DIR`` and the port it bound."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--state-dir", str(state_dir)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=dict(env, PYTHONUNBUFFERED="1"))
+    for line in process.stdout:
+        match = re.search(r"listening on http://[\d.]+:(\d+)/", line)
+        if match:
+            return process, int(match.group(1))
+    process.wait(30)
+    raise AssertionError("repro serve did not start")
+
+
+def call(conn, payload):
+    conn.request("POST", "/api", json.dumps(payload),
+                 {"Content-Type": "application/json"})
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
+
+
+class TestSigtermDrain:
+    """A client keeps editing on its open connection after ``SIGTERM``:
+    the server refuses what it would not persist, and a restart holds
+    the last edit it answered ``ok``."""
+
+    SOURCE = "(def x {}) (svg [(rect 'red' x 20 30 40)])"
+
+    def test_commands_after_sigterm_are_refused_not_lost(self, tmp_path,
+                                                          repro_env):
+        process, port = start_serve(tmp_path, repro_env)
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            status, opened = call(conn, {"cmd": "open",
+                                         "source": self.SOURCE.format(0)})
+            assert status == 200
+            sid, acknowledged = opened["session"], opened["source"]
+            process.send_signal(signal.SIGTERM)
+            for x in range(1, 10_000):
+                status, reply = call(conn, {"cmd": "edit", "session": sid,
+                                            "source": self.SOURCE.format(x)})
+                if status != 200:
+                    break
+                acknowledged = reply["source"]
+            assert status == 503 and reply["error"]["code"] == "draining"
+            conn.close()
+            assert process.wait(30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+            process.wait(30)
+            process.stdout.close()
+        process, port = start_serve(tmp_path, repro_env)
+        try:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            status, restored = call(conn, {"cmd": "source", "session": sid})
+            conn.close()
+            assert status == 200 and restored["source"] == acknowledged
+        finally:
+            process.terminate()
+            process.wait(30)
+            process.stdout.close()
 
 
 # ---------------------------------------------------------------------------
