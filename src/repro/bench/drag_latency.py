@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from statistics import median
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.pipeline import SyncPipeline
 from ..core.sliders import collect_sliders

@@ -11,7 +11,7 @@ with the concrete offsets d = 1 and d = 100 (the paper's two probes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..lang.ast import Loc
 from ..lang.errors import SolverFailure

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .equation_stats import EquationTotals
 from .loc_stats import LocStatsRow, LocTotals

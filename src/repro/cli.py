@@ -36,6 +36,22 @@ def _read_source(path: str, command: str) -> Optional[str]:
         return None
 
 
+def _int_in(low: int, high: Optional[int] = None):
+    """An argparse ``type`` for integers in ``[low, high]``: a value
+    outside exits 2 with argparse's one-line error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            expected = (f"at least {low}" if high is None
+                        else f"between {low} and {high}")
+            raise argparse.ArgumentTypeError(
+                f"must be {expected}, not {value}")
+        return value
+
+    parse.__name__ = "int"          # "invalid int value: 'x'"
+    return parse
+
+
 def _eval_budget(steps: Optional[int]):
     """An :class:`~repro.lang.eval.EvalBudget` capping fuel at ``steps``
     (with the default depth/size caps riding along), or ``None`` when
@@ -243,7 +259,7 @@ def _add_parse_mode_options(parser) -> None:
     parser.add_argument("--prelude-unfrozen", action="store_true",
                         help="treat Prelude literals as thawed, as the "
                              "editor and tests can")
-    parser.add_argument("--eval-budget", type=int, default=0,
+    parser.add_argument("--eval-budget", type=_int_in(0), default=0,
                         metavar="STEPS",
                         help="cap evaluation at STEPS interpreter steps "
                              "(plus default recursion-depth and value-"
@@ -281,19 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = commands.add_parser(
         "serve", help="run the multi-session sync service over HTTP")
     serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=8000,
+    serve_parser.add_argument("--port", type=_int_in(0, 65535),
+                              default=8000,
                               help="TCP port (0 picks a free one)")
-    serve_parser.add_argument("--max-sessions", type=int, default=64,
+    serve_parser.add_argument("--max-sessions", type=_int_in(1),
+                              default=64,
                               help="live sessions kept before LRU "
                                    "eviction to snapshots")
-    serve_parser.add_argument("--shards", type=int, default=4,
+    serve_parser.add_argument("--shards", type=_int_in(1), default=4,
                               help="independent session shards (each with "
                                    "its own lock, LRU budget, and "
                                    "snapshot store)")
     serve_parser.add_argument("--verbose", action="store_true",
                               help="log every request to stderr")
-    serve_parser.add_argument("--eval-budget", type=int, default=0,
-                              metavar="STEPS",
+    serve_parser.add_argument("--eval-budget", type=_int_in(0),
+                              default=0, metavar="STEPS",
                               help="per-command evaluation budget: a "
                                    "runaway program gets a structured "
                                    "program_limit error (HTTP 422) and "
@@ -334,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest_parser.add_argument("--strict", action="store_true",
                                help="with --bulk, exit nonzero if any "
                                     "document was quarantined (CI mode)")
-    ingest_parser.add_argument("--eval-budget", type=int, default=0,
-                               metavar="STEPS",
+    ingest_parser.add_argument("--eval-budget", type=_int_in(0),
+                               default=0, metavar="STEPS",
                                help="cap verification evaluation at STEPS "
                                     "interpreter steps (0 = unlimited)")
     ingest_parser.set_defaults(handler=_cmd_import)

@@ -3,7 +3,8 @@
 Every program edit in the live-sync loop (§4.1) is a substitution ρ over
 numeric literals.  A :class:`ChangeSet` records *which* locations a step
 actually rewrote, so downstream stages of the pipeline can answer "which
-shapes could this change affect?" instead of recomputing from scratch.
+shapes could this change affect?" — the Trigger stage tests ``locs``
+against each shape's dependency set — instead of recomputing from scratch.
 
 The contract:
 
@@ -29,8 +30,6 @@ True
 >>> moved = program.substitute({program.user_locs()[0]: 50.0})
 >>> moved.last_change
 ChangeSet({x})
->>> moved.last_change.affects(moved.last_change.idents)
-True
 """
 
 from __future__ import annotations
@@ -46,15 +45,11 @@ __all__ = ["ChangeSet", "FULL_CHANGE", "EMPTY_CHANGE"]
 class ChangeSet:
     """An immutable description of one program-update step."""
 
-    __slots__ = ("locs", "idents", "structural")
+    __slots__ = ("locs", "structural")
 
     def __init__(self, locs: Iterable["Loc"] = (), *,
                  structural: bool = False):
         self.locs: FrozenSet["Loc"] = frozenset(locs)
-        #: The same set keyed by ``Loc.ident`` — plain ints hash at C speed
-        #: on the per-shape intersection path.
-        self.idents: FrozenSet[int] = frozenset(
-            loc.ident for loc in self.locs)
         self.structural = structural
 
     @classmethod
@@ -71,10 +66,6 @@ class ChangeSet:
         if not self.locs:
             return other
         return ChangeSet(self.locs | other.locs)
-
-    def affects(self, idents: FrozenSet[int]) -> bool:
-        """Could a value with dependency set ``idents`` have changed?"""
-        return self.structural or not self.idents.isdisjoint(idents)
 
     def __bool__(self) -> bool:
         return self.structural or bool(self.locs)

@@ -27,9 +27,11 @@ caches accordingly:
   only after every recorded guard held, and both replay tiers and the
   incremental canvas rebuild keep every trace object, so the stage keeps
   its assignments and computes them afresh only on a structural change.
-* **Trigger** rebuilds triggers for shapes whose dependency set intersects
-  the change set and rebinds (shares the pre-read features of) the rest.
-* **Sliders** recomputes only when the change touches a slider location.
+* **Trigger** rebuilds each trigger whose shape's dependency set
+  (:meth:`~repro.svg.canvas.Shape.dep_locs`) meets the change set and
+  rebinds (shares the pre-read features of) the rest.
+* **Sliders** re-reads the range annotations on every Prepare; the scan is
+  a few microseconds.
 
 The escalation discipline makes the caching self-checking: every
 assumption ("same structure") is guarded by the recorded control-flow
@@ -53,9 +55,8 @@ from ..svg.canvas import Canvas
 from ..svg.render import render_canvas
 from ..zones.assignment import (CanvasAssignments, analyze_shape,
                                 choose_assignments)
-from ..zones.triggers import (MouseTrigger, compute_shape_triggers,
-                              compute_triggers)
-from .changeset import EMPTY_CHANGE, FULL_CHANGE, ChangeSet
+from ..zones.triggers import MouseTrigger, compute_triggers
+from .changeset import FULL_CHANGE, ChangeSet
 from .sliders import BuiltinSlider, collect_sliders
 
 __all__ = ["SyncPipeline"]
@@ -63,8 +64,7 @@ __all__ = ["SyncPipeline"]
 #: Every attribute a stage writes — what :meth:`SyncPipeline.transaction`
 #: saves and restores.
 _STAGE_FIELDS = ("program", "output", "canvas", "assignments", "triggers",
-                 "sliders", "_eval_cache", "_pending_output",
-                 "_slider_idents")
+                 "sliders", "_eval_cache", "_pending_output")
 _stage_state = attrgetter(*_STAGE_FIELDS)
 
 
@@ -119,7 +119,6 @@ class SyncPipeline:
         self.sliders: Dict[Loc, BuiltinSlider] = {}
         self._eval_cache: Optional[EvalCache] = None
         self._pending_output = None
-        self._slider_idents: frozenset = frozenset()
 
     @classmethod
     def from_source(cls, source: str, *, heuristic: str = "fair",
@@ -241,19 +240,16 @@ class SyncPipeline:
         self.canvas_stage(effective)
         return effective
 
-    def seed_run(self, output, eval_cache: Optional[EvalCache] = None
-                 ) -> ChangeSet:
+    def seed_run(self, eval_cache: EvalCache) -> ChangeSet:
         """Adopt a recorded evaluation of ``self.program`` as the Run stage.
 
-        ``output`` (and optionally the :class:`EvalCache` recorded alongside
-        it) must come from evaluating exactly ``self.program`` — e.g. from
-        the serve layer's shared compile cache, so N sessions opening the
-        same source evaluate it once.  The cache is only adopted on a
-        recording pipeline; re-evaluations replace it per pipeline, so
-        sharing is read-only.
+        ``eval_cache`` must come from evaluating exactly ``self.program``
+        — e.g. from the serve layer's shared compile cache, so N sessions
+        opening the same source evaluate it once.  Re-evaluations replace
+        the recording per pipeline, so sharing is read-only.
         """
-        self._eval_cache = eval_cache if self.record else None
-        self._pending_output = output
+        self._eval_cache = eval_cache
+        self._pending_output = eval_cache.output
         self.canvas_stage(FULL_CHANGE)
         return FULL_CHANGE
 
@@ -283,7 +279,9 @@ class SyncPipeline:
 
     def trigger_stage(self, change: Optional[ChangeSet] = None
                       ) -> Dict[Tuple[int, str], MouseTrigger]:
-        """Compute mouse triggers for every Active zone."""
+        """Compute mouse triggers for every Active zone: a non-structural
+        change rebuilds those whose shape's dependency set meets it and
+        rebinds the rest, whose pre-read features it cannot have moved."""
         change = FULL_CHANGE if change is None else change
         canvas, assignments = self.canvas, self.assignments
         if canvas is None or assignments is None:
@@ -292,29 +290,23 @@ class SyncPipeline:
         if change.structural or not self.triggers:
             self.triggers = compute_triggers(canvas, assignments, rho)
             return self.triggers
-        affected = canvas.shapes_affected(change)
+        changed = frozenset(loc.ident for loc in change.locs)
         triggers: Dict[Tuple[int, str], MouseTrigger] = {}
-        for index, keys in assignments.keys_by_shape().items():
-            if index in affected:
-                triggers.update(compute_shape_triggers(
-                    canvas, assignments, index, rho))
+        for key, trigger in self.triggers.items():
+            shape = canvas[key[0]]
+            if changed.isdisjoint(shape.dep_locs()):
+                triggers[key] = trigger.rebind(shape, rho)
             else:
-                shape = canvas[index]
-                for key in keys:
-                    triggers[key] = self.triggers[key].rebind(shape, rho)
+                triggers[key] = MouseTrigger(shape, trigger.assignment, rho)
         self.triggers = triggers
         return triggers
 
     # -- stage 4: Sliders --------------------------------------------------------
 
-    def slider_stage(self, change: Optional[ChangeSet] = None
-                     ) -> Dict[Loc, BuiltinSlider]:
-        """Collect built-in sliders (§2.4) for range-annotated literals."""
-        change = FULL_CHANGE if change is None else change
-        if change.structural or change.affects(self._slider_idents):
-            self.sliders = collect_sliders(self.program)
-            self._slider_idents = frozenset(loc.ident
-                                            for loc in self.sliders)
+    def slider_stage(self) -> Dict[Loc, BuiltinSlider]:
+        """Collect built-in sliders (§2.4) for range-annotated literals —
+        afresh on every Prepare: the scan takes a few microseconds."""
+        self.sliders = collect_sliders(self.program)
         return self.sliders
 
     # -- composite operations ----------------------------------------------------
@@ -325,7 +317,7 @@ class SyncPipeline:
         finishes dragging a zone"."""
         self.assign_stage(change)
         self.trigger_stage(change)
-        self.slider_stage(change)
+        self.slider_stage()
 
     def run(self, change: Optional[ChangeSet] = None) -> ChangeSet:
         """The whole pipeline: Run, then Prepare under the effective

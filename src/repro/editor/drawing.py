@@ -21,8 +21,6 @@ is computed.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..lang.ast import ECase, ELet, EVar, EApp, Expr, PVar, elist, plist
 from ..lang.parser import parse_expr
 from ..lang.program import Program

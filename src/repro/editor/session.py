@@ -102,8 +102,7 @@ class LiveSession:
         if seed is not None:
             # A recorded evaluation of exactly ``program`` (shared compile
             # cache): skip the redundant evaluation, Prepare from scratch.
-            output, eval_cache = seed
-            self.pipeline.seed_run(output, eval_cache)
+            self.pipeline.seed_run(seed)
             self.pipeline.prepare(FULL_CHANGE)
         else:
             self.run()
@@ -382,10 +381,11 @@ class LiveSession:
         """Rebuild a session from a :meth:`snapshot`.
 
         ``compile_fn(source, **parse_options)`` must return a tuple of the
-        parsed base :class:`Program` and an optional evaluation seed
-        ``(output, eval_cache)`` for it — the serve layer passes its shared
-        compile cache here; the default parses from scratch.  A seed cache
-        that already carries a compiled drag artifact
+        parsed base :class:`Program` and an optional recorded evaluation
+        of it (an :class:`~repro.lang.incremental.EvalCache`, the seed) —
+        the serve layer passes its shared compile cache here; the default
+        parses from scratch.  A seed that already carries a compiled drag
+        artifact
         (:mod:`repro.lang.compile`) carries it into the restored session
         for free, so rehydration under LRU pressure skips re-specializing
         too.  The restored session is behaviorally identical to the

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from .ast import Loc
 from .errors import LittleRuntimeError
 from .ops import apply_numeric_op
-from .values import (VBool, VCons, VNum, VStr, Value, format_number)
+from .values import VCons, VNum, Value, format_number
 
 __all__ = ["EvalCache", "record_evaluation", "reevaluate"]
 

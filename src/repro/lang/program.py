@@ -27,7 +27,7 @@ from typing import Dict, Optional
 
 from ..core.changeset import ChangeSet, FULL_CHANGE
 from .ast import ELet, ENum, Expr, Loc, iter_numbers, substitute
-from .eval import Env, evaluate
+from .eval import evaluate
 from .parser import collect_rho0, parse_top_level
 from .prelude import prelude_bindings, prelude_env, prelude_rho0
 from .unparser import unparse

@@ -8,7 +8,7 @@ Numbers carry traces; every other value is traceless.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Union
 
 from .ast import Expr, Pattern
 from .errors import SvgError

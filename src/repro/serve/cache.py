@@ -29,7 +29,6 @@ from typing import Dict, Tuple
 from ..lang.eval import budget_scope
 from ..lang.incremental import EvalCache, record_evaluation
 from ..lang.program import Program, parse_program
-from ..lang.values import Value
 from .faults import fail_point
 
 __all__ = ["CompileCache", "CompiledProgram"]
@@ -37,17 +36,12 @@ __all__ = ["CompileCache", "CompiledProgram"]
 
 @dataclass(frozen=True)
 class CompiledProgram:
-    """One cache entry: a parsed program plus its recorded evaluation."""
+    """One cache entry: a parsed program plus its recorded evaluation, the
+    seed a session pipeline adopts via
+    :meth:`~repro.core.pipeline.SyncPipeline.seed_run`."""
 
     program: Program
-    output: Value
     eval_cache: EvalCache
-
-    @property
-    def seed(self) -> Tuple[Value, EvalCache]:
-        """The ``(output, eval_cache)`` pair a session pipeline adopts
-        via :meth:`~repro.core.pipeline.SyncPipeline.seed_run`."""
-        return (self.output, self.eval_cache)
 
 
 def source_key(source: str, *, auto_freeze: bool = False,
@@ -145,8 +139,8 @@ class CompileCache:
                                     prelude_frozen=prelude_frozen)
             budget = self.budget.clone() if self.budget is not None else None
             with budget_scope(budget):
-                output, eval_cache = record_evaluation(program)
-            entry = CompiledProgram(program, output, eval_cache)
+                _output, eval_cache = record_evaluation(program)
+            entry = CompiledProgram(program, eval_cache)
         except BaseException as error:
             with self._lock:
                 self._inflight.pop(key, None)

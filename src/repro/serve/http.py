@@ -165,6 +165,14 @@ def make_server(host: str, port: int, app: Optional[ServeApp] = None, *,
                    verbose=verbose)
 
 
+def _setup_failed(what: str, error: OSError) -> int:
+    """One line on stderr and exit status 1 for a server that cannot
+    start."""
+    print(f"repro serve: {what}: {error.strerror or error}",
+          file=sys.stderr)
+    return 1
+
+
 def run_server(host: str = "127.0.0.1", port: int = 8000, *,
                max_sessions: int = 64, shards: int = 4,
                verbose: bool = False, state_dir: Optional[str] = None,
@@ -175,6 +183,9 @@ def run_server(host: str = "127.0.0.1", port: int = 8000, *,
     boot and attaches a write-behind :class:`StatePersister`, so a
     restart is *warm*: clients resume with their session ids, undo
     histories, sequence numbers, and even mid-flight drags intact.
+
+    A port it cannot bind or a state dir it cannot use ends in one line
+    on stderr and exit status 1.
 
     ``SIGTERM`` drains gracefully — stop accepting, finish in-flight
     requests, persist every session, exit 0 — so a supervisor's routine
@@ -189,18 +200,27 @@ def run_server(host: str = "127.0.0.1", port: int = 8000, *,
                    eval_budget=eval_budget, faults=faults, log=log)
     persister = None
     if state_dir is not None:
-        payloads, corrupt = load_state(state_dir)
+        try:
+            persister = StatePersister(state_dir,
+                                       app.manager.persist_payload,
+                                       faults=faults, log=log)
+            payloads, corrupt = load_state(state_dir)
+        except OSError as error:
+            return _setup_failed(f"cannot use state dir {state_dir}",
+                                 error)
         restored = app.manager.load_state(payloads)
-        persister = StatePersister(state_dir, app.manager.persist_payload,
-                                   faults=faults, log=log)
         app.manager.attach_persister(persister)
+    try:
+        server = make_server(host, port, app, verbose=verbose)
+    except OSError as error:
+        return _setup_failed(f"cannot listen on {host}:{port}", error)
+    if persister is not None:
         persister.start()
         if restored or corrupt:
             print(f"repro serve: restored {restored} session(s) from "
                   f"{state_dir}"
                   + (f" ({corrupt} corrupt file(s) skipped)"
                      if corrupt else ""))
-    server = make_server(host, port, app, verbose=verbose)
     draining = threading.Event()
 
     def _drain(signum, frame):

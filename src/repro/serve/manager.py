@@ -188,7 +188,8 @@ class SessionManager:
         compiled, hit = self.cache.compile(source, auto_freeze=auto_freeze,
                                            prelude_frozen=prelude_frozen)
         session = LiveSession(program=compiled.program, heuristic=heuristic,
-                              seed=compiled.seed, budget=self._session_budget(),
+                              seed=compiled.eval_cache,
+                              budget=self._session_budget(),
                               specialize_probe=self._specialize_probe)
         with self._lock:
             sid = f"s{next(self._ids)}"
@@ -616,7 +617,7 @@ class SessionManager:
 
     def _compile_for_restore(self, source: str, **parse_options):
         compiled, _hit = self.cache.compile(source, **parse_options)
-        return compiled.program, compiled.seed
+        return compiled.program, compiled.eval_cache
 
     # -- durable state (write-behind persister) -----------------------------------
 
@@ -676,6 +677,9 @@ class SessionManager:
     def load_state(self, payloads: List[dict]) -> int:
         """Replay persisted payloads on boot; returns sessions restored.
 
+        ``payloads`` come from :func:`~repro.serve.persist.load_state`,
+        which passes only well-formed ones.
+
         Sessions are admitted *lazily*: the payload's snapshot goes into
         the home shard's snapshot store and the first touch rehydrates it
         (so a boot over thousands of spilled sessions costs directory
@@ -686,20 +690,13 @@ class SessionManager:
         restored = 0
         max_id = 0
         for payload in payloads:
-            sid = payload.get("sid")
-            snapshot = payload.get("snapshot")
-            if not isinstance(sid, str) or not isinstance(snapshot, dict):
-                continue
-            if sid.startswith("s") and sid[1:].isdigit():
-                max_id = max(max_id, int(sid[1:]))
+            sid, snapshot = payload["sid"], payload["snapshot"]
+            max_id = max(max_id, int(sid[1:]))
             shard = self.shards[shard_index(sid, len(self.shards))]
             entry = _SessionEntry(shard)
-            entry.seq = int(payload.get("seq") or 0)
-            pending = payload.get("pending")
-            if pending:
-                shape, zone, count, last = pending
-                entry.pending = (int(shape), str(zone), int(count),
-                                 list(last))
+            entry.seq = payload["seq"]
+            if payload.get("pending") is not None:
+                entry.pending = tuple(payload["pending"])
             entry.last_good = snapshot
             expired = shard.store_snapshot(sid, snapshot)
             with self._lock:

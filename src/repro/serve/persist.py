@@ -24,7 +24,8 @@ Design points:
 >>> import tempfile
 >>> with tempfile.TemporaryDirectory() as state_dir:
 ...     persister = StatePersister(
-...         state_dir, lambda sid: {"sid": sid, "snapshot": {}})
+...         state_dir, lambda sid: {"sid": sid, "seq": 0, "pending": None,
+...                                 "snapshot": {}})
 ...     persister.mark_dirty("s1")
 ...     pending = persister.flush()
 ...     payloads, corrupt = load_state(state_dir)
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from typing import Callable, List, Optional, Tuple
 
@@ -45,6 +47,9 @@ __all__ = ["StatePersister", "load_state"]
 
 #: Seconds the background thread waits between batched flushes.
 FLUSH_INTERVAL = 0.25
+
+#: A session id as the manager issues it — also a safe file name.
+_SESSION_ID = re.compile(r"s[0-9]+")
 
 
 def _session_path(state_dir: str, session_id: str) -> str:
@@ -200,13 +205,39 @@ class StatePersister:
                 "backlog": self.backlog()}
 
 
+def _valid_payload(payload, stem: str) -> bool:
+    """Is ``payload`` shaped like what
+    :meth:`~repro.serve.manager.SessionManager.persist_payload` writes for
+    the session stored as ``stem``.json?  (``type(...) is int`` turns away
+    booleans; the snapshot's contents are checked at restore.)"""
+    if not isinstance(payload, dict):
+        return False
+    sid, seq, pending = (payload.get("sid"), payload.get("seq"),
+                         payload.get("pending"))
+    if pending is not None:
+        if not (type(pending) is list and len(pending) == 4):
+            return False
+        shape, zone, count, last = pending
+        if not (type(shape) is int and type(zone) is str
+                and type(count) is int and type(last) is list
+                and len(last) == 2
+                and all(type(value) in (int, float) for value in last)):
+            return False
+    return (type(sid) is str and sid == stem
+            and _SESSION_ID.fullmatch(sid) is not None
+            and type(seq) is int and seq >= 0
+            and isinstance(payload.get("snapshot"), dict))
+
+
 def load_state(state_dir: str) -> Tuple[List[dict], int]:
     """Read every persisted session payload from ``state_dir``.
 
     Returns ``(payloads, corrupt)`` where ``corrupt`` counts files that
-    were unreadable or undecodable — a torn ``.tmp`` left by a crash is
-    not counted (the atomic-rename protocol makes it garbage by design,
-    and it is cleaned up here).
+    were unreadable, undecodable or not a well-formed session payload
+    (such a file stays where it is).  A file's session id must be its
+    name, so no id read back can address a path outside ``state_dir``.
+    A torn ``.tmp`` left by a crash is not counted (the atomic-rename
+    protocol makes it garbage by design, and it is cleaned up here).
     """
     payloads: List[dict] = []
     corrupt = 0
@@ -225,9 +256,11 @@ def load_state(state_dir: str) -> Tuple[List[dict], int]:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            if not isinstance(payload, dict) or "sid" not in payload:
-                raise ValueError("not a session payload")
-            payloads.append(payload)
         except (OSError, ValueError):
+            corrupt += 1
+            continue
+        if _valid_payload(payload, name[:-len(".json")]):
+            payloads.append(payload)
+        else:
             corrupt += 1
     return payloads, corrupt

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from .bootstrap import MeanEstimate, bootstrap_t_mean
-from .data import (A_VS_B, COMPARISONS, C_VS_A, C_VS_B, DESIGN_FREQUENCY,
-                   N_PARTICIPANTS, PAPER_RESULTS, PLANS_TO_TRY,
-                   PROGRAMMING_YEARS, SCALE, TASKS, expand_counts)
+from .data import (COMPARISONS, N_PARTICIPANTS, PAPER_RESULTS,
+                   PLANS_TO_TRY, PROGRAMMING_YEARS, SCALE, TASKS,
+                   expand_counts)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ t* = (mean* − mean)/se*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 

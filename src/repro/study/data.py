@@ -16,7 +16,6 @@ Interaction modes (Appendix E):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 N_PARTICIPANTS = 25

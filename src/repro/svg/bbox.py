@@ -1,7 +1,7 @@
 """Bounding boxes for canvas shapes.
 
-Used by examples and tests (e.g. checking that a "group box" really spans a
-design, §6.1) and by hit-testing in the headless editor.
+Used by tests (e.g. checking that a "group box" really spans a design,
+§6.1).
 """
 
 from __future__ import annotations

@@ -9,13 +9,13 @@ and path data ``'d'``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..lang.ast import Loc
 from ..lang.errors import SvgError
 from ..lang.values import VNum, Value, is_list, to_pylist
 from .attrs import path_command_groups
-from .node import SHAPE_KINDS, SvgNode, parse_canvas, rebuild_node
+from .node import SvgNode, parse_canvas, rebuild_node
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class Shape:
         self._path_numbers = numbers
         return numbers
 
-    # -- loc dependencies (the incremental-Prepare index) -----------------------
+    # -- loc dependencies (what the incremental Trigger stage tests) ------------
 
     def attr_traces(self) -> List:
         """Traces of every numeric value in this shape's attributes."""
@@ -179,7 +179,6 @@ class Canvas:
         self.root = root
         self.shapes: List[Shape] = []
         self._flatten(root)
-        self._loc_index: Optional[Dict[int, Tuple[int, ...]]] = None
 
     @classmethod
     def from_value(cls, value: Value) -> "Canvas":
@@ -190,7 +189,8 @@ class Canvas:
                 new_value: Value) -> "Canvas":
         """Incremental rebuild for a *structurally identical* new output
         (see :func:`~repro.svg.node.rebuild_node`).  Traces are preserved,
-        so the loc-dependency index carries over unchanged.
+        so every shape's dependency set (:meth:`Shape.dep_locs`) carries
+        over unchanged.
 
         The flatten order only depends on node kinds, which the rebuild
         preserves, so shapes are paired with their predecessors by
@@ -202,7 +202,6 @@ class Canvas:
         new_canvas = cls.__new__(cls)
         new_canvas.root = new_root
         new_canvas.shapes = shapes = []
-        new_canvas._loc_index = canvas._loc_index
         old_shapes = canvas.shapes
 
         def walk(node: SvgNode) -> None:
@@ -251,32 +250,6 @@ class Canvas:
         for shape in self.shapes:
             traces.extend(shape.attr_traces())
         return traces
-
-    # -- loc-dependency index ----------------------------------------------------
-
-    def loc_shape_index(self) -> Dict[int, Tuple[int, ...]]:
-        """``Loc.ident`` → indices of the shapes whose attribute traces
-        mention it.  Built lazily, once per canvas structure; the
-        incremental rebuild transplants it."""
-        if self._loc_index is None:
-            index: Dict[int, List[int]] = {}
-            for shape in self.shapes:
-                for ident in shape.dep_locs():
-                    index.setdefault(ident, []).append(shape.index)
-            self._loc_index = {ident: tuple(indices)
-                               for ident, indices in index.items()}
-        return self._loc_index
-
-    def shapes_affected(self, change) -> frozenset:
-        """Indices of the shapes whose dependency set intersects the
-        change set; every shape when the change is structural."""
-        if change.structural:
-            return frozenset(range(len(self.shapes)))
-        index = self.loc_shape_index()
-        affected = set()
-        for ident in change.idents:
-            affected.update(index.get(ident, ()))
-        return frozenset(affected)
 
 
 def _attr_traces(key: str, value: Value):

@@ -9,12 +9,11 @@ traces — the zone machinery reads them through :class:`AttrRef` paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..lang.errors import SvgError
-from ..lang.values import (VCons, VNil, VNum, VStr, Value, is_list,
-                           to_pylist)
+from ..lang.values import VNum, VStr, Value, is_list, to_pylist
 
 #: Shape kinds with dedicated zone tables (Figure 5).
 SHAPE_KINDS = frozenset({

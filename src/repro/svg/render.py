@@ -15,6 +15,9 @@ from .node import SvgNode
 
 _XML_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
 
+#: Canvas size for a program whose 'svg' root sets no width.
+DEFAULT_WIDTH, DEFAULT_HEIGHT = 800, 600
+
 
 def _escape(text: str) -> str:
     for char, escape in _XML_ESCAPES.items():
@@ -52,14 +55,13 @@ def render_node(node: SvgNode, *, include_hidden: bool = True,
     return "\n".join(lines)
 
 
-def render_canvas(node: SvgNode, *, include_hidden: bool = False,
-                  width: int = 800, height: int = 600) -> str:
+def render_canvas(node: SvgNode, *, include_hidden: bool = False) -> str:
     """Render the canvas ('svg' root) as a standalone SVG document."""
     if node.kind != "svg":
         raise ValueError("render_canvas expects an 'svg' root node")
     if not node.has_attr("width"):
         defaults = (f'xmlns="http://www.w3.org/2000/svg" '
-                    f'width="{width}" height="{height}"')
+                    f'width="{DEFAULT_WIDTH}" height="{DEFAULT_HEIGHT}"')
     else:
         defaults = 'xmlns="http://www.w3.org/2000/svg"'
     body = render_node(node, include_hidden=include_hidden)

@@ -28,7 +28,10 @@ from ..lang.program import Program
 from ..trace.context import numeric_leaves, similar
 from ..trace.equation import Equation
 from ..trace.substitution import Substitution
-from .synthesize import Candidate, synthesize_plausible
+from .synthesize import synthesize_plausible
+
+#: Ranked updates :meth:`AdHocSession.reconcile` returns at most.
+MAX_RESULTS = 10
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,9 @@ class AdHocSession:
                 return index
         raise ValueError(f"no output number equals {old_value}")
 
-    def reconcile(self, max_results: int = 10) -> List[RankedUpdate]:
-        """Synthesize and rank candidate updates for all recorded edits."""
+    def reconcile(self) -> List[RankedUpdate]:
+        """Synthesize and rank candidate updates for all recorded edits;
+        the best :data:`MAX_RESULTS`."""
         if not self.edits:
             return []
         equations = [Equation(value, self.leaves[index].trace)
@@ -106,7 +110,7 @@ class AdHocSession:
             if update is not None:
                 ranked.append(update)
         ranked.sort(key=lambda update: update.rank_key)
-        return ranked[:max_results]
+        return ranked[:MAX_RESULTS]
 
     def _score(self, changes: Dict) -> Optional[RankedUpdate]:
         try:

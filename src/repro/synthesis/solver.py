@@ -25,13 +25,11 @@ which measure the paper's own solver.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
 from ..lang.ast import Loc
 from ..lang.errors import LittleRuntimeError, SolverFailure
-from ..lang.ops import apply_numeric_op
-from ..trace.trace import (OpTrace, Trace, eval_trace, is_addition_only,
-                           locs, occurrences)
+from ..trace.trace import Trace, eval_trace, is_addition_only, occurrences
 
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-6
@@ -237,18 +235,17 @@ def _inverse_pow_exponent(n: float, base: float) -> float:
 # ---------------------------------------------------------------------------
 
 def solve_one(rho: Mapping[Loc, float], loc: Loc, target: float,
-              trace: Trace, *, verify: bool = True) -> float:
+              trace: Trace) -> float:
     """``Solve(ρ, ℓ, n = t)``: SolveA, falling back to SolveB.
 
-    With ``verify`` (default), the solution is substituted back into the
-    trace and checked against the target — guarding against inverse-branch
-    mismatches (e.g. arccos picking the wrong branch).
+    The solution is substituted back into the trace and checked against
+    the target — guarding against inverse-branch mismatches (e.g. arccos
+    picking the wrong branch).
     """
-    return compile_solve_one(rho, loc, trace, verify=verify)(target)
+    return compile_solve_one(rho, loc, trace)(target)
 
 
-def compile_solve_one(rho: Mapping[Loc, float], loc: Loc, trace: Trace, *,
-                      verify: bool = True):
+def compile_solve_one(rho: Mapping[Loc, float], loc: Loc, trace: Trace):
     """Specialize :func:`solve_one` for a fixed ``(ρ, ℓ, t)``: returns a
     ``target → solution`` closure.
 
@@ -276,15 +273,14 @@ def compile_solve_one(rho: Mapping[Loc, float], loc: Loc, trace: Trace, *,
             def failing(target: float, _failure=failure) -> float:
                 raise _failure
             return failing
-    check = dict(rho) if verify else None
+    check = dict(rho)
 
     def solve(target: float) -> float:
         if steps is None:
             solution = (target - partial) / count
         else:
             solution = _apply_inverses(steps, target)
-        if check is not None:
-            _verify(check, loc, target, trace, solution)
+        _verify(check, loc, target, trace, solution)
         return solution
 
     return solve

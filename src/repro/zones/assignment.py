@@ -22,8 +22,8 @@ Two heuristics choose among candidates:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..lang.ast import Loc
 from ..svg.canvas import Canvas, Shape
@@ -120,18 +120,6 @@ class CanvasAssignments:
                 return analysis
         return None
 
-    def keys_by_shape(self) -> Dict[int, List[Tuple[int, str]]]:
-        """Chosen zone keys grouped by shape index — the unit at which the
-        incremental trigger stage re-computes.  Cached: the chosen dict is
-        never mutated after construction."""
-        grouped = getattr(self, "_keys_by_shape", None)
-        if grouped is None:
-            grouped = {}
-            for key in self.chosen:
-                grouped.setdefault(key[0], []).append(key)
-            self._keys_by_shape = grouped
-        return grouped
-
     def hover_data(self, shape_index: int, zone_name: str
                    ) -> Tuple[bool, str, Tuple[Loc, ...], Tuple[Loc, ...]]:
         """What the editor shows when hovering a zone (§5): whether it is
@@ -184,8 +172,7 @@ def analyze_zone(canvas: Canvas, zone: Zone) -> ZoneAnalysis:
 
 def analyze_shape(canvas: Canvas, shape: Shape) -> List[ZoneAnalysis]:
     """Per-shape analysis entry point: candidate structure of every zone
-    of one shape.  The incremental Prepare re-runs this only for shapes
-    whose loc-dependency set intersects the change set."""
+    of one shape."""
     return [analyze_zone(canvas, zone) for zone in zones_for_shape(shape)]
 
 

@@ -10,7 +10,7 @@ composition is order-dependent and therefore *plausible*, not faithful:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..lang.ast import Loc
@@ -132,17 +132,4 @@ def compute_triggers(canvas: Canvas, assignments: CanvasAssignments,
     for key, assignment in assignments.chosen.items():
         shape = canvas[assignment.zone.shape_index]
         triggers[key] = MouseTrigger(shape, assignment, rho)
-    return triggers
-
-
-def compute_shape_triggers(canvas: Canvas, assignments: CanvasAssignments,
-                           shape_index: int, rho: Mapping[Loc, float]
-                           ) -> Dict[Tuple[int, str], MouseTrigger]:
-    """Per-shape trigger entry point: fresh triggers for every Active zone
-    of one shape — the unit the incremental Prepare re-computes when the
-    shape's dependency set intersects the change set."""
-    shape = canvas[shape_index]
-    triggers: Dict[Tuple[int, str], MouseTrigger] = {}
-    for key in assignments.keys_by_shape().get(shape_index, ()):
-        triggers[key] = MouseTrigger(shape, assignments.chosen[key], rho)
     return triggers

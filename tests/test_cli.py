@@ -1,12 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import os
+import socket
 import subprocess
 import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.examples import example_source
 
 LITTLE_SOURCE = """
@@ -199,6 +200,64 @@ class TestServe:
         assert calls["eval_budget"].max_fuel == 123456
         assert calls["faults"].seed == 3
         assert calls["faults"].rate_for("dispatch.drag") == 0.5
+
+
+class TestServeSetupErrors:
+    """A bad option value or an unusable port or state dir ends in one
+    line, never a traceback."""
+
+    def serve(self, repro_env, *args):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", *args],
+            capture_output=True, text=True, env=repro_env, timeout=60)
+        assert "Traceback" not in result.stderr, result.stderr
+        return result
+
+    @pytest.mark.parametrize("option, value", [("--max-sessions", "0"),
+                                               ("--shards", "0"),
+                                               ("--port", "99999")])
+    def test_out_of_range_option_exits_2(self, repro_env, option, value):
+        result = self.serve(repro_env, option, value)
+        assert result.returncode == 2
+        assert f"error: argument {option}: must be" in result.stderr
+
+    def test_port_in_use_exits_1(self, repro_env):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            result = self.serve(repro_env, "--port", str(port))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            f"repro serve: cannot listen on 127.0.0.1:{port}: "
+            f"Address already in use"]
+
+    def test_state_dir_that_is_a_file_exits_1(self, repro_env, tmp_path):
+        state = tmp_path / "state"
+        state.write_text("not a directory")
+        result = self.serve(repro_env, "--port", "0", "--state-dir",
+                            str(state))
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            f"repro serve: cannot use state dir {state}: File exists"]
+
+    def test_defaults_are_unchanged(self):
+        args = build_parser().parse_args(["serve"])
+        assert (args.host, args.port, args.max_sessions, args.shards,
+                args.eval_budget, args.state_dir, args.verbose) == \
+            ("127.0.0.1", 8000, 64, 4, 0, None, False)
+
+
+@pytest.mark.parametrize("command", ["run", "check", "serve", "import"])
+def test_negative_eval_budget_exits_2(command, monkeypatch, capsys):
+    import repro.serve.http as serve_http
+    monkeypatch.setattr(serve_http, "run_server", lambda *a, **k: 0)
+    argv = [command] + ([] if command == "serve" else ["prog.little"])
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--eval-budget", "-1"])
+    assert exited.value.code == 2
+    assert "argument --eval-budget: must be at least 0" \
+        in capsys.readouterr().err
 
 
 class TestExamples:

@@ -283,18 +283,17 @@ def test_budget_exhaustion_parity():
 def test_snapshot_carried_artifact_skips_respecializing():
     source = example_source("three_boxes")
     program = parse_program(source)
-    output, cache = record_evaluation(program)
+    _, cache = record_evaluation(program)
     artifact = ensure_compiled(cache)
     assert artifact is not None
 
-    session = LiveSession(program=program, compiled=True,
-                          seed=(output, cache))
+    session = LiveSession(program=program, compiled=True, seed=cache)
     assert session.pipeline._eval_cache is cache
     snapshot = session.snapshot()
 
     def compile_fn(text, **parse_options):
         assert text == source
-        return program, (output, cache)
+        return program, cache
 
     restored = LiveSession.restore(snapshot, compile_fn=compile_fn,
                                    compiled=True)
@@ -323,9 +322,9 @@ def test_artifact_shared_across_sessions_compiles_once(monkeypatch):
     monkeypatch.setattr(compile_module, "specialize", counting)
     source = example_source("three_boxes")
     program = parse_program(source)
-    output, cache = record_evaluation(program)
-    sessions = [LiveSession(program=program, compiled=True,
-                            seed=(output, cache)) for _ in range(3)]
+    _, cache = record_evaluation(program)
+    sessions = [LiveSession(program=program, compiled=True, seed=cache)
+                for _ in range(3)]
     for session in sessions:
         key = sorted(session.triggers)[0]
         session.start_drag(*key)

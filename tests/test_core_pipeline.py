@@ -1,5 +1,5 @@
-"""Unit tests for the core staged pipeline: ChangeSet recording, the
-loc-dependency index, per-stage caching and the escalation discipline."""
+"""Unit tests for the core staged pipeline: ChangeSet recording, per-shape
+dependency sets, per-stage caching and the escalation discipline."""
 
 import pytest
 
@@ -12,6 +12,14 @@ from repro.lang.program import parse_program
 SINE = example_source("sine_wave_of_boxes")
 
 THREE_BOXES = example_source("three_boxes")
+
+
+def affected_shapes(canvas, locs):
+    """Indices of the shapes whose dependency set meets ``locs`` — the
+    per-shape test the Trigger stage applies to a value-only change."""
+    idents = frozenset(loc.ident for loc in locs)
+    return {shape.index for shape in canvas
+            if not idents.isdisjoint(shape.dep_locs())}
 
 
 class TestChangeSet:
@@ -27,14 +35,6 @@ class TestChangeSet:
         assert FULL_CHANGE.union(change) is FULL_CHANGE
         assert change.union(EMPTY_CHANGE) is change
         assert EMPTY_CHANGE.union(change) is change
-
-    def test_affects(self):
-        program = parse_program(SINE)
-        loc = next(iter(program.user_locs()))
-        change = ChangeSet.of([loc])
-        assert change.affects(frozenset({loc.ident}))
-        assert not change.affects(frozenset({-1}))
-        assert FULL_CHANGE.affects(frozenset())
 
 
 class TestProgramChangeRecording:
@@ -57,26 +57,28 @@ class TestProgramChangeRecording:
 
 
 class TestCanvasDependencyIndex:
-    def test_shapes_affected_by_shared_loc(self):
+    def test_shared_loc_reaches_every_shape(self):
         pipeline = run_source(SINE)
         program = pipeline.program
         x0 = next(loc for loc in program.user_locs()
                   if loc.display() == "x0")
-        affected = pipeline.canvas.shapes_affected(ChangeSet.of([x0]))
         # x0 positions every box.
-        assert len(affected) == len(pipeline.canvas)
-
-    def test_structural_change_affects_everything(self):
-        pipeline = run_source(SINE)
-        affected = pipeline.canvas.shapes_affected(FULL_CHANGE)
-        assert affected == frozenset(range(len(pipeline.canvas)))
+        assert all(x0.ident in shape.dep_locs()
+                   for shape in pipeline.canvas)
+        assert affected_shapes(pipeline.canvas, [x0]) \
+            == set(range(len(pipeline.canvas)))
 
     def test_rebuilt_canvas_transplants_index(self):
         session = LiveSession(SINE)
-        index = session.canvas.loc_shape_index()
+        shapes = list(session.canvas)
+        deps = [shape.dep_locs() for shape in shapes]
         session.start_drag(0, "INTERIOR")
         session.drag(3.0, 4.0)
-        assert session.canvas.loc_shape_index() is index
+        # The drag rebuilt shapes, and each kept its dependency set object.
+        assert any(new is not old
+                   for new, old in zip(session.canvas, shapes))
+        assert all(shape.dep_locs() is dep
+                   for shape, dep in zip(session.canvas, deps))
         session.release()
 
     def test_path_numbers_cached_per_shape(self):
@@ -106,7 +108,7 @@ class TestStagedPipeline:
             bindings = trigger(5.0, 3.0).bindings
             changed = [loc for loc, value in bindings.items()
                        if base_rho[loc] != value]
-            affected = session.canvas.shapes_affected(ChangeSet.of(changed))
+            affected = affected_shapes(session.canvas, changed)
             if changed and len(affected) < len(session.canvas):
                 chosen_key = key
                 break
@@ -115,9 +117,9 @@ class TestStagedPipeline:
         session.start_drag(*chosen_key)
         result = session.drag(5.0, 3.0)
         session.release()
-        affected = session.canvas.shapes_affected(ChangeSet.of(
-            [loc for loc, value in result.bindings.items()
-             if base_rho[loc] != value]))
+        affected = affected_shapes(session.canvas, [
+            loc for loc, value in result.bindings.items()
+            if base_rho[loc] != value])
         shared = [key for key in before if key[0] not in affected]
         assert shared, "expected some shape untouched by the radius drag"
         for key in shared:

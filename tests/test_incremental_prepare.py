@@ -1,5 +1,6 @@
 """Incremental-Prepare equivalence: the change-set-driven pipeline must be
-indistinguishable from a from-scratch Prepare after arbitrary gestures.
+indistinguishable from a from-scratch Prepare after arbitrary gestures and
+value edits.
 
 The core pipeline (repro.core.pipeline) reuses per-shape analyses,
 assignments, triggers and sliders across ``release()`` based on the
@@ -16,6 +17,7 @@ import random
 import pytest
 
 from repro.bench import naive_prepare, prepare_equal
+from repro.bench.edit_latency import value_edit_texts
 from repro.editor import LiveSession
 from repro.examples import example_source
 
@@ -39,6 +41,10 @@ EXAMPLES = (
 
 GESTURES = 3
 MAX_STEPS = 6
+VALUE_EDITS = 6
+
+TWO_RECTS = """(def red_x 10) (def blue_x 200)
+(svg [(rect 'red' red_x 20 30 40) (rect 'blue' blue_x 60 30 40)])"""
 
 
 def _assert_prepare_matches(session):
@@ -96,6 +102,28 @@ def test_slider_moves_keep_prepare_equal():
         _assert_prepare_matches(session)
     session.undo()
     _assert_prepare_matches(session)
+
+
+def test_value_edits_keep_prepare_equal():
+    """Source edits that retype one literal take the same incremental
+    Prepare as a drag: triggers of shapes the edit cannot reach are
+    rebound, the rest rebuilt."""
+    for name in EXAMPLES:
+        session = LiveSession(example_source(name))
+        for text in value_edit_texts(session.source(), VALUE_EDITS):
+            assert session.edit_source(text).kind == "value"
+            _assert_prepare_matches(session)
+    session = LiveSession(TWO_RECTS)
+    before = dict(session.triggers)
+    edited = session.edit_source(TWO_RECTS.replace("red_x 10", "red_x 15"))
+    assert edited.kind == "value"
+    _assert_prepare_matches(session)
+    assert set(session.triggers) == set(before)
+    assert {key[0] for key in before} == {0, 1}
+    for key, trigger in session.triggers.items():
+        shared = trigger._features is before[key]._features
+        assert shared == (key[0] == 1)      # the blue rect is untouched
+        assert trigger.rho is session.program.rho0
 
 
 def test_undo_during_drag_keeps_prepare_equal():

@@ -13,6 +13,7 @@ Three invariants drive the suite:
 
 import http.client
 import json
+import pathlib
 import re
 import signal
 import subprocess
@@ -350,6 +351,56 @@ class TestEvictionRehydration:
         assert stats["expired"] == 1
         assert stats["live_sessions"] == stats["snapshotted_sessions"] == 0
         assert stats["incidents"] == 0
+
+    def test_malformed_state_files_are_counted_and_left_in_place(
+            self, tmp_path):
+        # State files are input from outside the program: a payload that
+        # does not have the shape the persister writes must neither stop
+        # the boot nor let its session id name a path.
+        snapshot = LiveSession(
+            "(def x 10) (svg [(rect 'red' x 20 30 40)])").snapshot()
+        good = {"version": 1, "sid": "s1", "seq": 0, "pending": None,
+                "snapshot": snapshot}
+        files = {"s1": good,
+                 "s2": {**good, "sid": "s2", "seq": "x"},
+                 "s3": {**good, "sid": "s3", "pending": [0, "INTERIOR"]},
+                 "s4": {**good, "sid": "../../escape"}}
+        state_dir = tmp_path / "a" / "b" / "state"
+        state_dir.mkdir(parents=True)
+        for stem, payload in files.items():
+            (state_dir / f"{stem}.json").write_text(json.dumps(payload))
+        payloads, corrupt = load_state(str(state_dir))
+        assert [payload["sid"] for payload in payloads] == ["s1"]
+        assert corrupt == 3
+        manager = SessionManager()
+        assert manager.load_state(payloads) == 1
+        persister = StatePersister(str(state_dir), manager.persist_payload)
+        manager.attach_persister(persister)
+        manager.flush_state()
+        assert persister.writes == 1
+        written = sorted(path.relative_to(tmp_path)
+                         for path in tmp_path.rglob("*") if path.is_file())
+        assert written == [pathlib.Path("a", "b", "state", f"{stem}.json")
+                           for stem in sorted(files)]
+        rendered = ServeApp(manager=manager).handle(
+            {"cmd": "render", "session": "s1"})
+        assert rendered["ok"], rendered
+
+    def test_state_payload_must_be_what_the_persister_writes(self,
+                                                            tmp_path):
+        good = {"version": 1, "sid": "s5", "seq": 3,
+                "pending": [0, "INTERIOR", 2, [1.5, -4]], "snapshot": {}}
+        bad = [[], {**good, "sid": "s6"}, {**good, "sid": 5},
+               {**good, "seq": True}, {**good, "seq": -1},
+               {**good, "seq": 1.0}, {**good, "pending": []},
+               {**good, "pending": [0, "INTERIOR", 2, [1, None]]},
+               {**good, "pending": [False, "INTERIOR", 2, [1, 2]]},
+               {**good, "snapshot": []}, {"sid": "s5", "seq": 0}]
+        for payload in [good] + bad:
+            (tmp_path / "s5.json").write_text(json.dumps(payload))
+            payloads, corrupt = load_state(str(tmp_path))
+            assert (len(payloads), corrupt) == \
+                ((1, 0) if payload is good else (0, 1)), payload
 
     def test_close_forgets_live_and_snapshotted(self):
         manager = SessionManager(max_sessions=1)
