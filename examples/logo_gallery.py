@@ -8,8 +8,8 @@ Run:  python examples/logo_gallery.py [output-dir]
 import pathlib
 import sys
 
+from repro.core import run_program
 from repro.examples import example_info, example_names, load_example
-from repro.svg import Canvas, render_canvas
 
 
 def main():
@@ -17,13 +17,11 @@ def main():
                            else "examples/gallery")
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in example_names():
-        program = load_example(name)
-        canvas = Canvas.from_value(program.evaluate())
-        svg_text = render_canvas(canvas.root)
+        pipeline = run_program(load_example(name))
         path = out_dir / f"{name}.svg"
-        path.write_text(svg_text + "\n", encoding="utf-8")
+        path.write_text(pipeline.render() + "\n", encoding="utf-8")
         info = example_info(name)
-        print(f"{path}  ({len(canvas)} shapes)  - {info.title}")
+        print(f"{path}  ({len(pipeline.canvas)} shapes)  - {info.title}")
     print(f"\nwrote {len(example_names())} SVG files to {out_dir}/")
 
 

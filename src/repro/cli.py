@@ -366,12 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
                                help="assignment heuristic for the corpus")
     tables_parser.add_argument("--perf", action="store_true",
                                help="also run the timing table")
-    tables_parser.add_argument("--runs", type=int, default=3)
+    tables_parser.add_argument("--runs", type=_int_in(1), default=3)
     tables_parser.set_defaults(handler=_cmd_tables)
 
     study_parser = commands.add_parser(
         "study", help="print the Figure 9 user-study analysis")
-    study_parser.add_argument("--resamples", type=int, default=10_000)
+    study_parser.add_argument("--resamples", type=_int_in(1), default=10_000)
     study_parser.set_defaults(handler=_cmd_study)
     return parser
 

@@ -21,10 +21,11 @@ is computed.
 
 from __future__ import annotations
 
-from ..lang.ast import ECase, ELet, EVar, EApp, Expr, PVar, elist, plist
+from ..lang.ast import (ECase, ELet, EVar, EApp, Expr, PVar, elist,
+                        iter_numbers, plist)
 from ..lang.parser import parse_expr
 from ..lang.program import Program
-from ..lang.unparser import format_literal
+from ..lang.unparser import format_literal, unparse
 
 _SHAPE_TEMPLATES = {
     "rect": ("x", "y", "width", "height"),
@@ -70,9 +71,13 @@ def add_shape(program: Program, kind: str, fill: str = "gray",
     """Return a new program whose output contains one more shape.
 
     The new literals receive fresh locations, so the added shape is
-    directly manipulable in the very next Prepare.
+    directly manipulable in the very next Prepare.  The ``source`` is the
+    unparse (drawn literals thawed with ``?`` in ``auto_freeze`` mode).
     """
     literal = parse_expr(shape_literal_source(kind, fill, **attrs))
+    if program.auto_freeze:
+        for num in iter_numbers(literal):
+            num.ann = "?"
     pattern = plist([PVar("kind"), PVar("attrs"), PVar("children")])
 
     def wrap(body: Expr) -> Expr:
@@ -83,5 +88,6 @@ def add_shape(program: Program, kind: str, fill: str = "gray",
         return ECase(body, ((pattern, rebuilt),))
 
     new_user = _wrap_final_body(program.user_ast, wrap)
-    return Program(new_user, source=program.source,
-                   prelude_frozen=program.prelude_frozen)
+    return Program(new_user, source=unparse(new_user),
+                   prelude_frozen=program.prelude_frozen,
+                   auto_freeze=program.auto_freeze)

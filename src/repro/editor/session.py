@@ -329,9 +329,10 @@ class LiveSession:
         ``(ident, value)`` pairs of any rewritten Prelude literals — Prelude
         locations are parsed once per process, so their idents are stable
         for the lifetime of the snapshot's holder.  A history entry from
-        before a source edit carries its own ``source`` text, since its
-        overlays are relative to a different base program than the
-        current one's.
+        before a structural (or identity) edit carries its own ``source``
+        text, since its overlays are relative to a different base program
+        than the current one's; value edits, drags and slider moves keep
+        the base.
         """
         state = {"user": program.user_values(), "prelude": []}
         if program.source != current_source:
@@ -384,13 +385,14 @@ class LiveSession:
         parsed base :class:`Program` and an optional recorded evaluation
         of it (an :class:`~repro.lang.incremental.EvalCache`, the seed) —
         the serve layer passes its shared compile cache here; the default
-        parses from scratch.  A seed that already carries a compiled drag
-        artifact
-        (:mod:`repro.lang.compile`) carries it into the restored session
-        for free, so rehydration under LRU pressure skips re-specializing
-        too.  The restored session is behaviorally identical to the
-        snapshotted one: same rendered output, same undo history, and any
-        in-flight drag is replayed so the gesture can simply continue.
+        parses from scratch.  It is called for the main source only: the
+        session opens at that base as a new one would, and the current
+        overlays run as one value step that replays the seed and its
+        compiled drag artifact, if any (:mod:`repro.lang.compile`).  Bases
+        from before a structural edit are parsed, never recorded.  The
+        restored session is behaviorally identical to the snapshotted one:
+        same rendered output, same undo history, and any in-flight drag
+        is replayed so the gesture can simply continue.
         """
         options = snapshot["options"]
         # Other keys (older snapshots carry a Prelude switch that was
@@ -398,70 +400,54 @@ class LiveSession:
         parse_options = {"auto_freeze": options["auto_freeze"],
                          "prelude_frozen": options["prelude_frozen"]}
         main_source = snapshot["source"]
-        # A session that lived through source edits has history entries
-        # based on *earlier* source texts (each carries its own ``source``
-        # key); compile each distinct base once.
-        bases: Dict[str, tuple] = {}
-
-        def base_for(source: str) -> tuple:
-            cached = bases.get(source)
-            if cached is None:
-                if compile_fn is None:
-                    base, seed = parse_program(source, **parse_options), None
-                else:
-                    base, seed = compile_fn(source, **parse_options)
-                cached = (base, seed, base.user_locs(), base.user_values(),
-                          {loc.ident: loc for loc in base.rho0
-                           if loc.in_prelude})
-                bases[source] = cached
-            return cached
-
-        def materialize(state: dict) -> Program:
-            base, _seed, locs, base_values, prelude_locs = \
-                base_for(state.get("source", main_source))
-            values = state["user"]
+        if compile_fn is None:
+            main, seed = parse_program(main_source, **parse_options), None
+        else:
+            main, seed = compile_fn(main_source, **parse_options)
+        bases = {main_source: main}
+        prelude_locs = {loc.ident: loc for loc in
+                        prelude_rho0(options["prelude_frozen"])}
+        states = list(snapshot["history"]) + [snapshot["current"]]
+        sources = [state.get("source", main_source)
+                   for state in snapshot["history"]] + [main_source]
+        chain: List[Program] = []
+        for state, source in zip(states, sources):
+            if source not in bases:
+                bases[source] = parse_program(source, **parse_options)
+            base = bases[source]
+            values, locs = state["user"], base.user_locs()
             if len(values) != len(locs):
                 raise EditorError("snapshot does not match its source")
-            rho = {loc: value
-                   for loc, value, base_value in zip(locs, values,
-                                                     base_values)
-                   if value != base_value}
+            rho = {loc: value for loc, value, old in
+                   zip(locs, values, base.user_values()) if value != old}
             for ident, value in state["prelude"]:
                 loc = prelude_locs.get(ident)
                 if loc is None:
                     raise EditorError(
                         "snapshot references an unknown Prelude location")
                 rho[loc] = value
-            # Always substitute (even an empty ρ) so the chain entries are
-            # distinct objects whose ``last_change`` we may widen below
-            # without touching a shared base program.
-            return base.substitute(rho)
-
-        states = list(snapshot["history"]) + [snapshot["current"]]
-        sources = [state.get("source", main_source) for state in states]
-        chain = [materialize(state) for state in states]
+            # Substitute even an empty ρ: every entry is then its own
+            # object, whose ``last_change`` is widened below.
+            chain.append(base.substitute(rho))
         # ``undo`` bounds the diff to a program's *predecessor* with
         # ``last_change``; after a restore every chain entry is a direct
         # substitution of its base instead, so widen each change to the
         # union with its predecessor's (a conservative superset of the
         # true step-over-step diff).  Consecutive entries from *different*
-        # bases (a source edit happened between them) share no location
+        # bases (a structural edit happened between them) share no location
         # coordinate system, so the step is pessimized to ``FULL_CHANGE``.
         own_changes = [program.last_change for program in chain]
-        for index, program in enumerate(chain):
-            if not index:
-                continue
-            if sources[index] == sources[index - 1]:
-                program.last_change = \
-                    own_changes[index].union(own_changes[index - 1])
-            else:
-                program.last_change = FULL_CHANGE
-        current = chain.pop()
-        seed = base_for(main_source)[1]
-        session = cls(program=current, heuristic=options["heuristic"],
-                      seed=seed if not own_changes[-1] else None,
-                      budget=budget, compiled=compiled,
+        for index in range(1, len(chain)):
+            chain[index].last_change = (
+                own_changes[index].union(own_changes[index - 1])
+                if sources[index] == sources[index - 1] else FULL_CHANGE)
+        session = cls(program=main, heuristic=options["heuristic"],
+                      seed=seed, budget=budget, compiled=compiled,
                       specialize_probe=specialize_probe)
+        # The current overlays on the base run as one value step.
+        session.pipeline.replace_program(chain.pop())
+        if own_changes[-1]:
+            session.pipeline.run(own_changes[-1])
         session.history = chain
         drag = snapshot.get("drag")
         if drag is not None:

@@ -15,7 +15,8 @@ program's AST, classifying the edit:
 * **value** — only numeric literal values changed: the edit is re-expressed
   as ``old.substitute(ρ)``, so every surviving literal keeps its
   :class:`~repro.lang.ast.Loc` and the pipeline's Run/Assign/Trigger/Slider
-  stages reuse their caches exactly as a drag step does;
+  stages reuse their caches exactly as a drag step does (and, like a drag,
+  it keeps ``old.source``: the new values are overlays on that base);
 * **structural** — the shape changed somewhere, but literals in aligned
   regions survive: their fresh :class:`Loc`s are *re-keyed* back to the old
   ones, keeping names and identities stable across the reparse (the change
@@ -277,17 +278,18 @@ def _rekey(old: Expr, new: Expr, changed: set, stats: list) -> None:
 # ---------------------------------------------------------------------------
 
 def diff_programs(old: Program, new_ast: Expr, new_source: str) -> SourceDiff:
-    """Diff ``old`` against an already-parsed replacement AST."""
+    """Diff ``old`` against an already-parsed replacement AST (a value
+    edit keeps ``old.source``; every other kind installs ``new_source``)."""
     rho: dict = {}
     if _align(old.user_ast, new_ast, rho):
         program = old.substitute(rho)
-        program.source = new_source
         change = program.last_change
         if not change:
             # An identity edit is not a *step*: the program still differs
             # from its undo-history predecessor exactly as ``old`` did, so
             # preserve that relation (undo reads ``last_change``) while
-            # reporting the edit itself as empty.
+            # reporting the edit itself as empty; its text is the new base.
+            program.source = new_source
             program.last_change = old.last_change
             return SourceDiff(IDENTITY, program, change,
                               rekeyed=len(program.user_locs()))

@@ -46,6 +46,8 @@ class Program:
         self._user_ast = user_ast
         self._lazy_base: Optional[Expr] = None
         self._lazy_rho: Optional[Dict[Loc, float]] = None
+        #: Text of the program's structure (it parses to this AST up to
+        #: literal values): substitutions keep it, overlaying new values.
         self.source = source
         self.prelude_frozen = prelude_frozen
         #: The parse mode that produced ``user_ast`` from ``source`` — kept

@@ -616,6 +616,8 @@ class SessionManager:
                 self.persister.remove(sid)
 
     def _compile_for_restore(self, source: str, **parse_options):
+        """The snapshot's main source via the shared cache (the only source
+        ``LiveSession.restore`` compiles; older bases are only parsed)."""
         compiled, _hit = self.cache.compile(source, **parse_options)
         return compiled.program, compiled.eval_cache
 

@@ -39,6 +39,22 @@ def repro_env():
 
 
 @pytest.fixture
+def recordings(monkeypatch):
+    """A list that grows by one program per full recorded evaluation, at
+    both call sites: the pipeline's Run stage and the compile cache."""
+    import repro.core.pipeline as pipeline_module
+    import repro.serve.cache as cache_module
+
+    calls = []
+    for module in (pipeline_module, cache_module):
+        def counting(program, original=module.record_evaluation):
+            calls.append(program)
+            return original(program)
+        monkeypatch.setattr(module, "record_evaluation", counting)
+    return calls
+
+
+@pytest.fixture
 def sine_source():
     return SINE_WAVE_SOURCE
 

@@ -260,6 +260,19 @@ def test_negative_eval_budget_exits_2(command, monkeypatch, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["study", "--resamples", "0"],
+                                  ["study", "--resamples", "-5"],
+                                  ["tables", "--perf", "--runs", "0"]])
+def test_count_below_one_exits_2(argv, repro_env):
+    result = subprocess.run([sys.executable, "-m", "repro", *argv],
+                            capture_output=True, text=True, env=repro_env,
+                            timeout=60)
+    assert "Traceback" not in result.stderr, result.stderr
+    assert result.returncode == 2
+    assert (f"error: argument {argv[-2]}: must be at least 1, "
+            f"not {argv[-1]}") in result.stderr
+
+
 class TestExamples:
     def test_list(self, capsys):
         assert main(["examples"]) == 0

@@ -57,6 +57,7 @@ def test_literal_only_edit_is_value_change():
     assert {loc.display() for loc in diff.change.locs} == {"x"}
     assert diff.program.user_locs() == program.user_locs()
     assert diff.program.user_values() == [99.0, 20.0, 30.0, 40.0]
+    assert diff.program.source == SOURCE            # the base text stays
 
 
 def test_multi_literal_edit_lists_every_changed_loc():

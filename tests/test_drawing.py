@@ -1,5 +1,7 @@
 """Tests for the Draw extension: adding shapes to a running program."""
 
+import json
+
 import pytest
 
 from repro.editor import LiveSession
@@ -91,3 +93,19 @@ class TestAddShape:
         reparsed = parse_program(new_program.unparse())
         canvas = Canvas.from_value(reparsed.evaluate())
         assert len(canvas) == 4
+
+    @pytest.mark.parametrize("auto_freeze", [False, True])
+    def test_session_on_drawn_program_survives_snapshot(self, auto_freeze):
+        program = parse_program("(def x 10) (svg [(rect 'red' x 20 30 40)])",
+                                auto_freeze=auto_freeze)
+        session = LiveSession(program=add_shape(program, "circle", cx=100,
+                                                cy=80, r=25))
+        session.drag_zone(1, "INTERIOR", 7.0, -3.0)     # the drawn circle
+        restored = LiveSession.restore(
+            json.loads(json.dumps(session.snapshot())))
+        assert restored.export_svg() == session.export_svg()
+        assert restored.source() == session.source()
+        assert restored.active_zone_count() == session.active_zone_count()
+        restored.undo()
+        session.undo()
+        assert restored.export_svg() == session.export_svg()

@@ -8,13 +8,16 @@ rehydrations is byte-identical to a session freshly opened on the same
 text.
 """
 
+import json
+
 import pytest
 
-from repro.bench.edit_latency import _session_signature
+from repro.bench.edit_latency import _session_signature, value_edit_texts
 from repro.editor import LiveSession
 from repro.editor.session import EditorError
 from repro.examples import example_source
 from repro.lang.errors import LittleSyntaxError
+from repro.serve.cache import CompileCache
 
 SOURCE = "(def x 10) (svg [(rect 'teal' x 20 30 40)])"
 
@@ -203,9 +206,89 @@ class TestSnapshotAcrossEdits:
             live.release()
         assert restored.export_svg() == session.export_svg()
 
-    def test_snapshot_stays_jsonable(self):
-        import json
+    def test_value_edits_share_one_base(self, recordings):
+        """Value edits keep the opened text as the base: the snapshot
+        names it once, restore compiles only it and records nothing, and
+        every undo replays the cached recording."""
+        text = example_source("ferris_wheel")
+        cache = CompileCache()
+        compiled, _hit = cache.compile(text)
+        session = LiveSession(program=compiled.program,
+                              seed=compiled.eval_cache)
+        for edit in value_edit_texts(text, 12):
+            assert session.edit_source(edit).kind == "value"
+        snapshot = json.loads(json.dumps(session.snapshot()))
+        assert snapshot["source"] == text
+        assert len(snapshot["history"]) == 12
+        assert not any("source" in state for state in snapshot["history"])
+        compiles = []
 
+        def compile_fn(source, **options):
+            compiles.append(source)
+            entry, _hit = cache.compile(source, **options)
+            return entry.program, entry.eval_cache
+
+        recordings.clear()
+        restored = LiveSession.restore(snapshot, compile_fn=compile_fn)
+        assert compiles == [text]
+        assert recordings == []
+        assert restored.source() == session.source()
+        assert restored.export_svg() == session.export_svg()
+        for key in sorted(session.triggers):
+            assert restored.hover(*key) == session.hover(*key)
+        live_cache = session.pipeline._eval_cache
+        restored_cache = restored.pipeline._eval_cache
+        while session.history:
+            session.undo()
+            restored.undo()
+            assert _session_signature(restored) == \
+                _session_signature(session)
+            assert session.pipeline._eval_cache is live_cache
+            assert restored.pipeline._eval_cache is restored_cache
+        assert not restored.history
+        assert restored.source() == compiled.program.unparse()
+        assert recordings == []
+
+    def test_structural_edit_starts_the_one_older_base(self):
+        session = LiveSession(SOURCE)
+        for x in (11, 12, 13):
+            assert session.edit_source(
+                SOURCE.replace("10", str(x))).kind == "value"
+        grown = ("(def x 13) (svg [(rect 'teal' x 20 30 40) "
+                 "(circle 'red' 9 9 9)])")
+        assert session.edit_source(grown).kind == "structural"
+        for r in (10, 11, 12):
+            assert session.edit_source(
+                grown.replace("9 9 9", f"9 9 {r}")).kind == "value"
+        snapshot = json.loads(json.dumps(session.snapshot()))
+        assert snapshot["source"] == grown
+        assert [state.get("source") for state in snapshot["history"]] == \
+            [SOURCE] * 4 + [None] * 3
+        restored = LiveSession.restore(snapshot)
+        assert _session_signature(restored) == _session_signature(session)
+        while session.history:
+            session.undo()
+            restored.undo()
+            assert _session_signature(restored) == \
+                _session_signature(session)
+        assert restored.source() == LiveSession(SOURCE).source()
+
+    def test_snapshot_with_a_source_per_value_edit_restores(self):
+        # Older snapshots name each value edit's text as a base of its own.
+        edited = SOURCE.replace("10", "15")
+        snapshot = LiveSession(SOURCE).snapshot()
+        snapshot["history"] = [dict(snapshot["current"], source=SOURCE)]
+        snapshot["source"] = edited
+        snapshot["current"] = {"user": [15.0, 20.0, 30.0, 40.0],
+                               "prelude": []}
+        restored = LiveSession.restore(snapshot)
+        assert_matches_fresh(restored)
+        assert "(def x 15)" in restored.source()
+        restored.undo()
+        assert_matches_fresh(restored)
+        assert "(def x 10)" in restored.source()
+
+    def test_snapshot_stays_jsonable(self):
         session = LiveSession(SOURCE)
         session.edit_source("(def x 10) (svg [(circle 'red' x 50 20)])")
         json.dumps(session.snapshot())

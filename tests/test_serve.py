@@ -241,6 +241,38 @@ class TestEvictionRehydration:
         assert undone["source"] == control.source()
         assert app.handle({"cmd": "stats"})["stats"]["rehydrated"] == 1
 
+    @pytest.mark.parametrize("change", ["drag", "edits"])
+    def test_rehydration_replays_the_cached_recording(self, change,
+                                                      recordings):
+        from repro.bench.edit_latency import value_edit_texts
+
+        app = ServeApp(max_sessions=1, shards=1)
+        sid = open_session(app, example="ferris_wheel")["session"]
+        if change == "drag":
+            shape, zone = first_zone(app.manager.get(sid))
+            assert app.handle({"cmd": "drag", "session": sid,
+                               "shape": shape, "zone": zone,
+                               "steps": [[7, 3]]})["ok"]
+            assert app.handle({"cmd": "release", "session": sid})["ok"]
+        else:
+            texts = value_edit_texts(example_source("ferris_wheel"), 20)
+            assert len(texts) == 20
+            for text in texts:
+                assert app.handle({"cmd": "edit", "session": sid,
+                                   "source": text})["edit"] == "value"
+        before = app.handle({"cmd": "render", "session": sid})["svg"]
+        open_session(app, example="three_boxes")      # evicts sid
+        assert app.handle({"cmd": "stats"})["stats"]["evicted"] == 1
+        cache = app.manager.cache.stats()
+        recordings.clear()
+        rendered = app.handle({"cmd": "render", "session": sid})
+        assert rendered["ok"], rendered
+        assert rendered["svg"] == before
+        assert recordings == []
+        after = app.manager.cache.stats()
+        assert (after["entries"], after["misses"]) == \
+            (cache["entries"], cache["misses"])
+
     def test_rehydration_mid_gesture_continues_the_drag(self):
         manager = SessionManager(max_sessions=1)
         app = ServeApp(manager=manager)
