@@ -88,6 +88,4 @@ def add_shape(program: Program, kind: str, fill: str = "gray",
         return ECase(body, ((pattern, rebuilt),))
 
     new_user = _wrap_final_body(program.user_ast, wrap)
-    return Program(new_user, source=unparse(new_user),
-                   prelude_frozen=program.prelude_frozen,
-                   auto_freeze=program.auto_freeze)
+    return program.restructured(new_user, unparse(new_user))

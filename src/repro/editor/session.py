@@ -334,14 +334,11 @@ class LiveSession:
         than the current one's; value edits, drags and slider moves keep
         the base.
         """
-        state = {"user": program.user_values(), "prelude": []}
+        state = {"user": program.user_values(),
+                 "prelude": [[loc.ident, value] for loc, value
+                             in program.prelude_overlays().items()]}
         if program.source != current_source:
             state["source"] = program.source
-        if program.prelude_modified:
-            baseline = prelude_rho0(program.prelude_frozen)
-            state["prelude"] = [
-                [loc.ident, value] for loc, value in program.rho0.items()
-                if loc.in_prelude and baseline.get(loc) != value]
         return state
 
     def snapshot(self) -> dict:

@@ -5,9 +5,9 @@ re-running the program per mouse-move, but it still *interprets* trace
 structures every step: ``_trace_value`` walks ``OpTrace`` trees node by
 node, and ``_rebuild`` re-walks the whole output value tree.  This module
 specializes one recorded evaluation (:class:`~repro.lang.incremental
-.EvalCache`) into a single flat Python function — compiled once with
-:func:`compile` — so a drag step becomes "evaluate a few hundred local
-float expressions and check a predicate vector":
+.EvalCache`) into generated Python — compiled once with :func:`compile`
+— so a drag step becomes "evaluate a few hundred local float expressions
+and check a predicate vector":
 
 * every distinct trace node becomes one assignment of an inlined float
   expression (shared nodes are computed once, exactly like the
@@ -15,9 +15,19 @@ float expressions and check a predicate vector":
 * every recorded guard (comparison, ``toString``, numeric-literal match)
   becomes one ``if ...: return None`` — the predicate vector — and every
   recorded partial operation is computed, so one that raises escalates;
-* the output rebuild becomes a flat sequence of ``old-if-unchanged-else
+* the output rebuild becomes a sequence of ``old-if-unchanged-else
   -fresh`` node constructions mirroring ``_rebuild`` statement for
   statement, sharing every untouched subtree by identity.
+
+The trace, guard and partial statements form one flat main function.
+The output rebuild is flat too, except for output structure that repeats
+(tessellation's 80 polygons share one shape): a subtree whose structure
+occurs at least twice in the recording and takes at least
+:data:`SHARED_MIN_STATEMENTS` rebuild statements is rebuilt by one call
+of a generated function per distinct structure, so :func:`compile`
+translates that structure once instead of once per occurrence.  The
+function body is exactly the statements the inline rebuild would be,
+over the occurrence's recorded nodes and its numbers' trace variables.
 
 **Equivalence discipline.**  The artifact is an optimization of the
 interpreted replay, never a semantic layer: the generated code replicates
@@ -57,7 +67,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .ast import Loc
 from .errors import LittleRuntimeError, ResourceExhausted
@@ -67,11 +77,22 @@ from .values import VCons, VNum, format_number
 __all__ = ["CompileUnsupported", "CompiledEvaluation", "ensure_compiled",
            "specialize"]
 
-#: Statement budget for one specialized function.  Far above the corpus
-#: (the heaviest example compiles to a few thousand statements); a
+#: Statement budget for each generated function: the main function and
+#: each shared rebuild function separately.  Far above the corpus (the
+#: heaviest example compiles to a few thousand statements); a
 #: pathological program falls back to the interpreter instead of paying
 #: an unbounded ``compile()``.
 MAX_STATEMENTS = 60_000
+
+#: A repeated output subtree is rebuilt by a shared function only from
+#: this many rebuild statements up; smaller ones stay inline, where they
+#: cost no call.
+SHARED_MIN_STATEMENTS = 8
+
+#: Structural keys of output subtrees (:meth:`_Codegen.shape_key`): a
+#: subtree with no number, and a number leaf.  Every other key is a cons
+#: of two keys.
+_NO_NUMBER, _NUMBER = 0, 1
 
 
 class CompileUnsupported(Exception):
@@ -105,24 +126,17 @@ _UNARY_CALLS = {"cos": "_cos", "sin": "_sin", "sqrt": "_sqrt",
                 "floor": "_floor", "ceiling": "_ceil", "abs": "_abs",
                 "neg": "_neg", "arccos": "_acos", "arcsin": "_asin"}
 
-_HEADER = ("def _specialized(r, L=L, K=K, O=O, _VNum=_VNum, _VCons=_VCons, "
-           "_fmt=_fmt, _acos=_acos, _asin=_asin, _fmod=_fmod, _pow=_pow, "
-           "_cos=_cos, _sin=_sin, _sqrt=_sqrt, _floor=_floor, _ceil=_ceil, "
-           "_abs=_abs, _neg=_neg):")
+_HEADER = ("def _specialized(r, L=L, K=K, O=O, R=R, _VNum=_VNum, "
+           "_VCons=_VCons, _fmt=_fmt, _acos=_acos, _asin=_asin, "
+           "_fmod=_fmod, _pow=_pow, _cos=_cos, _sin=_sin, _sqrt=_sqrt, "
+           "_floor=_floor, _ceil=_ceil, _abs=_abs, _neg=_neg):")
 
 
-class _Codegen:
-    """Accumulates the flat statement list for one specialization."""
+class _Statements:
+    """The statement list of one generated function."""
 
     def __init__(self):
         self.lines: List[str] = []
-        self.locs: List[Loc] = []
-        self.consts: List[object] = []
-        self.objs: List[object] = []
-        self._loc_index: Dict[object, int] = {}
-        self._const_index: Dict[object, int] = {}
-        self._obj_index: Dict[int, int] = {}
-        self._trace_var: Dict[int, str] = {}
         self._vars = 0
 
     def emit(self, line: str) -> None:
@@ -134,6 +148,56 @@ class _Codegen:
     def new_var(self) -> str:
         self._vars += 1
         return f"t{self._vars}"
+
+
+class _SharedRebuild(_Statements):
+    """The rebuild of one occurrence of a repeated output subtree, as the
+    body of a function ``(o, a0, a1, ...)``: the occurrence's recorded
+    nodes are ``o[i]`` in visit order, and its numbers are the parameters
+    ``a{j}``, whose trace expressions the main function computes and
+    passes.  The body text is therefore a function of the subtree's
+    structure alone."""
+
+    def __init__(self, codegen: "_Codegen"):
+        super().__init__()
+        self.codegen = codegen
+        self.nodes: List[object] = []
+        self.args: List[str] = []
+
+    def number_ref(self, trace) -> str:
+        self.args.append(self.codegen.trace_expr(trace))
+        return f"a{len(self.args) - 1}"
+
+    def node_ref(self, value) -> str:
+        self.nodes.append(value)
+        return f"o[{len(self.nodes) - 1}]"
+
+
+class _Codegen(_Statements):
+    """Accumulates the main function's statements, and the shared rebuild
+    functions it calls, for one specialization."""
+
+    def __init__(self):
+        super().__init__()
+        self.locs: List[Loc] = []
+        self.consts: List[object] = []
+        self.objs: List[object] = []
+        self._loc_index: Dict[object, int] = {}
+        self._const_index: Dict[object, int] = {}
+        self._obj_index: Dict[int, int] = {}
+        self._trace_var: Dict[int, str] = {}
+        #: Source of each shared rebuild function ``R[j]`` (one per
+        #: distinct body text), and their statements in total.
+        self.functions: List[str] = []
+        self.function_statements = 0
+        self._function_index: Dict[str, int] = {}
+        #: Structural key of each recorded cons (by identity), and per key
+        #: its rebuild size in statements and its number of occurrences.
+        self._node_keys: Dict[int, int] = {}
+        self._key_index: Dict[Tuple[int, int], int] = {
+            (_NO_NUMBER, _NO_NUMBER): _NO_NUMBER}
+        self._key_sizes: List[int] = [0, 1]
+        self._key_counts: List[int] = [0, 0]
 
     def const_ref(self, value) -> str:
         """Pool a float/str constant.  Pooling (instead of source
@@ -152,7 +216,7 @@ class _Codegen:
                 self._const_index[key] = index
         return f"K[{index}]"
 
-    def obj_ref(self, value) -> str:
+    def node_ref(self, value) -> str:
         """Pool a recorded output object (by identity)."""
         index = self._obj_index.get(id(value))
         if index is None:
@@ -224,53 +288,124 @@ class _Codegen:
         for trace in cache.partials:
             self.trace_expr(trace)
 
-    # -- output rebuild, flattened --------------------------------------------
+    # -- output rebuild ---------------------------------------------------------
 
-    def visit_value(self, value) -> Optional[str]:
-        """Emit the rebuild of one recorded output node, returning the
-        variable holding the rebuilt value — or ``None`` for a subtree
-        with no numeric leaf, which ``_rebuild`` provably returns as-is
-        (zero statements, shared by identity)."""
+    def shape_key(self, value) -> int:
+        """The structural key of one output occurrence, counting the
+        occurrence: :data:`_NO_NUMBER` for a subtree with no numeric leaf,
+        :data:`_NUMBER` for a number, else the interned pair of the
+        head's and tail's keys.  Equal keys rebuild by the same
+        statements, and a key's size is how many.  A cons shared by
+        identity is walked once, so only its own key counts its repeats.
+        That changes no decision: the cons is larger than anything under
+        it and repeats too, so it is shared in their place (outermost
+        wins)."""
         kind = type(value)
         if kind is VNum:
-            t = self.trace_expr(value.trace)
-            o = self.obj_ref(value)
-            var = self.new_var()
+            key = _NUMBER
+        elif kind is VCons:
+            key = self._node_keys.get(id(value))
+            if key is None:
+                pair = (self.shape_key(value.head),
+                        self.shape_key(value.tail))
+                key = self._key_index.get(pair)
+                if key is None:
+                    key = len(self._key_sizes)
+                    self._key_index[pair] = key
+                    self._key_sizes.append(self._key_sizes[pair[0]]
+                                           + self._key_sizes[pair[1]] + 1)
+                    self._key_counts.append(0)
+                self._node_keys[id(value)] = key
+        else:
+            return _NO_NUMBER
+        self._key_counts[key] += 1
+        return key
+
+    #: The main function's output frame: numbers by their trace variable,
+    #: nodes through the ``O`` pool.
+    number_ref = trace_expr
+
+    def visit_value(self, value, out) -> Optional[str]:
+        """Emit the rebuild of one recorded output node into ``out`` (this
+        main function, or a :class:`_SharedRebuild` body), returning the
+        variable holding the rebuilt value — or ``None`` for a subtree
+        with no numeric leaf, which ``_rebuild`` provably returns as-is
+        (zero statements, shared by identity).
+
+        In the main function, a subtree whose structure repeats (at least
+        two occurrences, at least :data:`SHARED_MIN_STATEMENTS` rebuild
+        statements; the outermost such subtree wins) becomes one call of
+        its shared rebuild function, whose body is exactly the statements
+        emitted here inline otherwise.  Needs :meth:`shape_key` to have
+        walked the output."""
+        kind = type(value)
+        if kind is VNum:
+            t = out.number_ref(value.trace)
+            o = out.node_ref(value)
+            var = out.new_var()
             # Exactly _rebuild's check (== on floats, so a recomputed
             # -0.0 still shares the recorded 0.0 node, and vice versa).
-            self.emit(f"{var} = {o} if {t} == {o}.value "
-                      f"else _VNum({t}, {o}.trace)")
+            out.emit(f"{var} = {o} if {t} == {o}.value "
+                     f"else _VNum({t}, {o}.trace)")
             return var
-        if kind is VCons:
-            head = self.visit_value(value.head)
-            tail = self.visit_value(value.tail)
-            if head is None and tail is None:
-                return None
-            o = self.obj_ref(value)
-            conditions = []
-            if head is None:
-                head = f"{o}.head"
-            else:
-                conditions.append(f"{head} is {o}.head")
-            if tail is None:
-                tail = f"{o}.tail"
-            else:
-                conditions.append(f"{tail} is {o}.tail")
-            var = self.new_var()
-            self.emit(f"{var} = {o} if {' and '.join(conditions)} "
-                      f"else _VCons({head}, {tail})")
-            return var
-        return None
+        if kind is not VCons:
+            return None
+        key = self._node_keys[id(value)]
+        if key == _NO_NUMBER:
+            return None
+        if (out is self and self._key_counts[key] >= 2
+                and self._key_sizes[key] >= SHARED_MIN_STATEMENTS):
+            return self.emit_shared(value)
+        head = self.visit_value(value.head, out)
+        tail = self.visit_value(value.tail, out)
+        o = out.node_ref(value)
+        conditions = []
+        if head is None:
+            head = f"{o}.head"
+        else:
+            conditions.append(f"{head} is {o}.head")
+        if tail is None:
+            tail = f"{o}.tail"
+        else:
+            conditions.append(f"{tail} is {o}.tail")
+        var = out.new_var()
+        out.emit(f"{var} = {o} if {' and '.join(conditions)} "
+                 f"else _VCons({head}, {tail})")
+        return var
+
+    def emit_shared(self, value) -> str:
+        """Emit ``tN = R[j](O[i], a0, ...)`` for one occurrence of a
+        repeated subtree, generating ``R[j]`` on its structure's first
+        occurrence."""
+        body = _SharedRebuild(self)
+        body.emit(f"return {self.visit_value(value, body)}")
+        text = "\n".join("    " + line for line in body.lines)
+        index = self._function_index.get(text)
+        if index is None:
+            index = len(self.functions)
+            self._function_index[text] = index
+            params = "".join(f", a{j}" for j in range(len(body.args)))
+            self.functions.append(
+                f"def _r{index}(o{params}, _VNum=_VNum, _VCons=_VCons):\n"
+                + text)
+            self.function_statements += len(body.lines)
+        args = "".join(", " + arg for arg in body.args)
+        var = self.new_var()
+        self.emit(f"{var} = R[{index}]({self.node_ref(tuple(body.nodes))}"
+                  f"{args})")
+        return var
 
     # -- assembly ----------------------------------------------------------------
 
     def build(self, cache) -> "CompiledEvaluation":
         self.emit_guards(cache)
-        root = self.visit_value(cache.output)
+        self.shape_key(cache.output)
+        root = self.visit_value(cache.output, self)
         self.emit(f"return {root}" if root is not None
-                  else f"return {self.obj_ref(cache.output)}")
-        source = _HEADER + "\n" + "\n".join(
-            "    " + line for line in self.lines)
+                  else f"return {self.node_ref(cache.output)}")
+        names = "".join(f"_r{j}, " for j in range(len(self.functions)))
+        source = "\n".join(self.functions + [f"R = ({names})", _HEADER]
+                            + ["    " + line for line in self.lines])
         namespace = {
             "L": tuple(self.locs), "K": tuple(self.consts),
             "O": tuple(self.objs), "_VNum": VNum, "_VCons": VCons,
@@ -283,14 +418,15 @@ class _Codegen:
         exec(compile(source, "<repro.lang.compile>", "exec"), namespace)
         guard_charge = (len(cache.comparisons) + len(cache.tostrings)
                         + len(cache.num_matches) + len(cache.partials))
-        return CompiledEvaluation(namespace["_specialized"], guard_charge,
-                                  len(self.lines))
+        return CompiledEvaluation(
+            namespace["_specialized"], guard_charge,
+            len(self.lines) + self.function_statements)
 
 
 class CompiledEvaluation:
     """One specialized drag-step artifact: ``replay(ρ)`` answers exactly
     what :func:`~repro.lang.incremental.reevaluate` would — the rebuilt
-    output, or ``None`` to escalate — only flat and compiled."""
+    output, or ``None`` to escalate — only compiled."""
 
     __slots__ = ("_fn", "guard_charge", "statements")
 
@@ -299,7 +435,9 @@ class CompiledEvaluation:
         #: Fuel charged per replay: one step per recorded guard and
         #: partial, the same coarse accounting as the interpreted fast path.
         self.guard_charge = guard_charge
-        #: Size of the generated function, for introspection and tests.
+        #: Size of the generated code, for introspection and tests: the
+        #: main function's statements plus each distinct shared rebuild
+        #: function's, counted once however many calls it has.
         self.statements = statements
 
     def replay(self, rho) -> Optional[object]:

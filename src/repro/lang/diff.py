@@ -52,7 +52,6 @@ from ..core.changeset import ChangeSet, FULL_CHANGE
 from .ast import (ECase, ECons, ELambda, ELet, ENil, ENum, EOp, EStr, EVar,
                   EApp, EBool, Expr, Loc, iter_numbers)
 from .parser import parse_top_level
-from .prelude import prelude_rho0
 from .program import Program
 
 __all__ = ["SourceDiff", "diff_source", "diff_programs",
@@ -298,19 +297,7 @@ def diff_programs(old: Program, new_ast: Expr, new_source: str) -> SourceDiff:
     changed: set = set()
     stats = [0, 0]
     _rekey(old.user_ast, new_ast, changed, stats)
-    program = Program(new_ast, source=new_source,
-                      prelude_frozen=old.prelude_frozen,
-                      auto_freeze=old.auto_freeze)
-    if old.prelude_modified:
-        # The session rewrote Prelude literals (only possible when the
-        # Prelude is thawed); a structural edit must not silently reset
-        # them — carry the overlays onto the fresh program.
-        baseline = prelude_rho0(old.prelude_frozen)
-        overlays = {loc: value for loc, value in old.rho0.items()
-                    if loc.in_prelude and baseline.get(loc) != value}
-        if overlays:
-            program = program.substitute(overlays)
-            program.last_change = FULL_CHANGE
+    program = old.restructured(new_ast, new_source)
     if stats[0]:
         return SourceDiff(STRUCTURAL, program,
                           ChangeSet(changed, structural=True),

@@ -183,6 +183,21 @@ class Program:
         program.rho0.update(rho)
         return program
 
+    def restructured(self, user_ast: Expr, source: str) -> "Program":
+        """A fresh program for a new user AST (a structural edit, a drawn
+        shape), parsed like this one, that keeps the Prelude literals this
+        one rewrote instead of silently resetting them.  Its change is
+        :data:`~repro.core.changeset.FULL_CHANGE`, like any fresh
+        program's."""
+        program = Program(user_ast, source=source,
+                          prelude_frozen=self.prelude_frozen,
+                          auto_freeze=self.auto_freeze)
+        overlays = self.prelude_overlays()
+        if overlays:
+            program = program.substitute(overlays)
+            program.last_change = FULL_CHANGE
+        return program
+
     def unparse(self) -> str:
         """The user-visible program text (Prelude not shown, as in the
         reference editor)."""
@@ -196,6 +211,15 @@ class Program:
         possible when ``prelude_frozen=False``).  Such programs carry their
         own combined AST instead of the shared Prelude caches."""
         return self._prelude_modified
+
+    def prelude_overlays(self) -> Dict[Loc, float]:
+        """The Prelude literals a substitution rewrote, with their current
+        values (empty unless :attr:`prelude_modified`)."""
+        if not self._prelude_modified:
+            return {}
+        baseline = prelude_rho0(self.prelude_frozen)
+        return {loc: value for loc, value in self.rho0.items()
+                if loc.in_prelude and baseline.get(loc) != value}
 
     def user_locs(self):
         """Locations of literals in the user program (not the Prelude).

@@ -9,7 +9,9 @@ slider moves, value edits and undo, asserting byte-identical SVG, trace
 keys, trigger/zone structure, hover data and source text after **every**
 step; plus targeted cases for each escalation rule (guard flip, compile
 failure, structural invalidation, injected specialization faults) and
-for the artifact's snapshot/seed lifecycle.
+for the artifact's snapshot/seed lifecycle; and, recording by recording,
+the replay contract itself: the same nodes shared with the recording and
+the same number bits as ``reevaluate``, from artifacts of bounded size.
 
 Sharing one parsed :class:`~repro.lang.program.Program` between the two
 sessions is what makes the signatures comparable (location idents are
@@ -18,6 +20,7 @@ substitution, and each session records its own :class:`EvalCache`.
 """
 
 import random
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,7 +33,8 @@ from repro.lang import parse_program
 from repro.lang.compile import CompileUnsupported, ensure_compiled, specialize
 from repro.lang.errors import LittleError, ResourceExhausted
 from repro.lang.eval import EvalBudget
-from repro.lang.incremental import record_evaluation
+from repro.lang.incremental import record_evaluation, reevaluate
+from repro.lang.values import VCons, VNum
 from repro.serve.faults import FaultPlan, InjectedFault, fail_point
 from repro.trace.trace import trace_key
 
@@ -416,3 +420,114 @@ def test_artifact_answers_match_interpreter_verdicts():
     failing = program.substitute({x: 15.0}).rho0
     assert artifact.replay(failing) is None
     assert reevaluate(cache, failing) is None
+
+
+# ---------------------------------------------------------------------------
+# The replay contract, node by node: sharing, number bits, size
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def corpus_artifacts():
+    """Every example's recording with its specialization (or the
+    exception that refused it)."""
+    artifacts = {}
+    for name in example_names():
+        program = parse_program(example_source(name))
+        _, cache = record_evaluation(program)
+        try:
+            artifact = specialize(cache)
+        except CompileUnsupported as error:
+            artifact = error
+        artifacts[name] = (program, cache, artifact)
+    return artifacts
+
+
+def number_bits(value):
+    """A number's exact identity: its type and, for a float, its bits
+    (so -0.0 and 0.0, or two NaN payloads, differ)."""
+    if type(value) is float:
+        return float, struct.pack("<d", value)
+    return type(value), value
+
+
+def assert_same_replay(recorded, compiled, interpreted):
+    """Walk both replays beside the recording: the same node kinds, the
+    same nodes shared with the recording by identity, and in fresh nodes
+    the same numbers bit for bit over the recording's trace objects."""
+    stack = [(recorded, compiled, interpreted)]
+    while stack:
+        old, a, b = stack.pop()
+        assert (a is old) == (b is old)
+        if a is old:
+            continue
+        assert type(a) is type(b) is type(old)
+        if type(a) is VNum:
+            assert number_bits(a.value) == number_bits(b.value)
+            assert a.trace is old.trace and b.trace is old.trace
+        else:
+            assert type(a) is VCons, "only numbers and conses are rebuilt"
+            stack.append((old.head, a.head, b.head))
+            stack.append((old.tail, a.tail, b.tail))
+
+
+def perturbed_rhos(program, rng):
+    """ρ0 moved at one user location, at a few, and at every one (twice
+    each), plus ρ0 itself."""
+    locs = program.user_locs()
+    rhos = [dict(program.rho0)]
+    for count in (1, min(3, len(locs)), len(locs)):
+        for _ in range(2):
+            rho = dict(program.rho0)
+            for loc in rng.sample(locs, count):
+                rho[loc] = rho[loc] + rng.uniform(-25.0, 25.0)
+            rhos.append(rho)
+    return rhos
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_replay_shares_nodes_like_reevaluate(corpus_artifacts, name):
+    """``replay(ρ)`` answers what ``reevaluate(cache, ρ)`` does: the same
+    verdict, the same nodes shared with the recording, the same numbers
+    bit for bit — for every example, under perturbed ρ."""
+    program, cache, artifact = corpus_artifacts[name]
+    assert not isinstance(artifact, Exception), artifact
+    rng = random.Random(f"sharing-{name}")
+    for rho in perturbed_rhos(program, rng):
+        compiled = artifact.replay(rho)
+        interpreted = reevaluate(cache, rho)
+        assert (compiled is None) == (interpreted is None)
+        if compiled is not None:
+            assert_same_replay(cache.output, compiled, interpreted)
+    assert artifact.replay(program.rho0) is cache.output
+
+
+def test_unmoved_copy_of_a_repeated_shape_is_shared():
+    """Two copies of one shape (one shared rebuild function): moving one
+    copy answers the other as the recorded node itself."""
+    program = parse_program("(def box (\\x (rect 'red' x 20 30 40))) "
+                            "(svg [(box 10) (box 100)])")
+    _, cache = record_evaluation(program)
+    artifact = specialize(cache)
+    first_x = next(loc for loc in program.user_locs()
+                   if program.rho0[loc] == 10.0)
+    rho = dict(program.rho0)
+    rho[first_x] = 15.0
+    replayed = artifact.replay(rho)
+    assert_same_replay(cache.output, replayed, reevaluate(cache, rho))
+    shapes, recorded = replayed.tail.tail.head, cache.output.tail.tail.head
+    assert shapes.head is not recorded.head
+    assert shapes.tail.head is recorded.tail.head
+
+
+def test_repeated_structure_compiles_once(corpus_artifacts):
+    """Each repeated output structure is generated once, not once per
+    occurrence: the corpus's artifacts stay small, and every example
+    still specializes."""
+    refused = {name: artifact for name, (_, _, artifact)
+               in corpus_artifacts.items()
+               if isinstance(artifact, Exception)}
+    assert not refused
+    sizes = {name: artifact.statements
+             for name, (_, _, artifact) in corpus_artifacts.items()}
+    assert sum(sizes.values()) <= 24_000, sum(sizes.values())
+    assert sizes["tessellation"] <= 1_600, sizes["tessellation"]

@@ -94,6 +94,20 @@ class TestAddShape:
         canvas = Canvas.from_value(reparsed.evaluate())
         assert len(canvas) == 4
 
+    def test_keeps_prelude_overlays(self):
+        """Drawing a shape keeps the Prelude literals the program rewrote
+        (a thawed Prelude), as a structural source edit does."""
+        program = parse_program("(svg [(rect 'red' 10 20 30 40)])",
+                                prelude_frozen=False)
+        loc = next(loc for loc in program.rho0 if loc.in_prelude)
+        modified = program.substitute({loc: 7.0})
+        drawn = add_shape(modified, "circle", cx=1, cy=2, r=3)
+        assert drawn.prelude_modified
+        assert drawn.rho0[loc] == 7.0
+        assert drawn.last_change.structural
+        canvas = Canvas.from_value(drawn.evaluate())
+        assert [shape.kind for shape in canvas] == ["rect", "circle"]
+
     @pytest.mark.parametrize("auto_freeze", [False, True])
     def test_session_on_drawn_program_survives_snapshot(self, auto_freeze):
         program = parse_program("(def x 10) (svg [(rect 'red' x 20 30 40)])",
