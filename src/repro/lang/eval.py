@@ -30,22 +30,28 @@ _MIN_RECURSION_LIMIT = 20000
 #: dead (feeds neither the output nor a guard).
 _PARTIAL_OPS = NUMERIC_OPS - {"+", "-", "*", "neg", "abs", "pi"}
 
+
+class _PerThread(threading.local):
+    """One per-thread slot.  The class attribute is the default, so a
+    thread that never set ``value`` reads ``None`` as a plain attribute
+    hit; ``getattr(local, "value", None)`` on such a thread would build
+    and swallow an ``AttributeError`` on every read."""
+
+    value = None
+
+
 #: Active guard recorder (see :mod:`repro.lang.incremental`), per thread.
 #: When set, every value-dependent control-flow decision on this thread is
 #: recorded.  A process-global here would let two sessions recording
 #: concurrently pollute each other's guard lists — ``reevaluate`` would
 #: then silently validate stale outputs (found by the serve concurrency
 #: harness, ``tests/test_serve_concurrency.py``).
-#: The recording checkpoints below read ``getattr(_RECORDERS, "value",
-#: None)`` inline rather than calling :func:`get_recorder` — a
-#: deliberate hot-path optimization (comparisons run in the evaluator's
-#: inner loop); keep the helper and the inline reads in sync.
-_RECORDERS = threading.local()
+_RECORDERS = _PerThread()
 
 
 def get_recorder():
     """This thread's active guard recorder, or ``None``."""
-    return getattr(_RECORDERS, "value", None)
+    return _RECORDERS.value
 
 
 def set_recorder(recorder) -> None:
@@ -55,8 +61,8 @@ def set_recorder(recorder) -> None:
 
 #: Active evaluation budget, per thread (same discipline as the guard
 #: recorder above): installed around one evaluation via
-#: :func:`budget_scope`, read inline in the interpreter loop.
-_BUDGETS = threading.local()
+#: :func:`budget_scope`, read once per evaluation by :func:`evaluate`.
+_BUDGETS = _PerThread()
 
 
 class EvalBudget:
@@ -156,7 +162,7 @@ budget: 10000 steps (fuel)
 
 def get_budget() -> Optional[EvalBudget]:
     """This thread's active evaluation budget, or ``None``."""
-    return getattr(_BUDGETS, "value", None)
+    return _BUDGETS.value
 
 
 class _BudgetScope:
@@ -174,7 +180,7 @@ class _BudgetScope:
         budget = self.budget
         if budget is not None:
             budget.reset()
-            self.previous = getattr(_BUDGETS, "value", None)
+            self.previous = _BUDGETS.value
             _BUDGETS.value = budget
         return budget
 
@@ -221,7 +227,7 @@ def match(pattern: Pattern, value: Value) -> Optional[Dict[str, Value]]:
         return {pattern.name: value}
     if isinstance(pattern, PNum):
         matched = isinstance(value, VNum) and value.value == pattern.value
-        recorder = getattr(_RECORDERS, "value", None)
+        recorder = _RECORDERS.value
         if recorder is not None and isinstance(value, VNum):
             recorder.num_matches.append(
                 (value.trace, pattern.value, matched))
@@ -251,10 +257,12 @@ def match(pattern: Pattern, value: Value) -> Optional[Dict[str, Value]]:
 
 
 def evaluate(expr: Expr, env: Optional[Env] = None) -> Value:
-    """Evaluate ``expr`` in ``env`` (empty by default)."""
+    """Evaluate ``expr`` in ``env`` (empty by default), metered by this
+    thread's budget (:func:`budget_scope`), which is read once here and
+    passed down."""
     if sys.getrecursionlimit() < _MIN_RECURSION_LIMIT:
         sys.setrecursionlimit(_MIN_RECURSION_LIMIT)
-    return _eval(expr, env if env is not None else Env())
+    return _eval(expr, env if env is not None else Env(), _BUDGETS.value)
 
 
 # Interned leaf values: little's nil and booleans are immutable and
@@ -264,7 +272,8 @@ _TRUE = VBool(True)
 _FALSE = VBool(False)
 
 
-def _eval_str(expr: EStr, env: Env) -> Value:
+def _eval_str(expr: EStr, env: Env,
+              budget: Optional[EvalBudget]) -> Value:
     cached = getattr(expr, "_vcache", None)
     if cached is None:
         cached = VStr(expr.value)
@@ -272,24 +281,26 @@ def _eval_str(expr: EStr, env: Env) -> Value:
     return cached
 
 
-def _eval_bool(expr: EBool, env: Env) -> Value:
+def _eval_bool(expr: EBool, env: Env,
+               budget: Optional[EvalBudget]) -> Value:
     return _TRUE if expr.value else _FALSE
 
 
-def _eval_nil(expr: ENil, env: Env) -> Value:
+def _eval_nil(expr: ENil, env: Env,
+              budget: Optional[EvalBudget]) -> Value:
     return _NIL
 
 
-def _eval_cons(expr: ECons, env: Env) -> Value:
+def _eval_cons(expr: ECons, env: Env,
+               budget: Optional[EvalBudget]) -> Value:
     # Evaluate the cons spine iteratively: list literals are long, and one
     # Python frame per element costs more than the loop.
     heads = []
     node = expr
     while type(node) is ECons:
-        heads.append(_eval(node.head, env))
+        heads.append(_eval(node.head, env, budget))
         node = node.tail
-    value = _eval(node, env)
-    budget = getattr(_BUDGETS, "value", None)
+    value = _eval(node, env, budget)
     if budget is not None:
         # The only VCons allocation site: every little list cell — literal
         # or built one cons at a time by recursive prelude functions —
@@ -301,13 +312,15 @@ def _eval_cons(expr: ECons, env: Env) -> Value:
     return value
 
 
-def _eval_lambda(expr: ELambda, env: Env) -> Value:
+def _eval_lambda(expr: ELambda, env: Env,
+                 budget: Optional[EvalBudget]) -> Value:
     return VClosure(expr.pattern, expr.body, env)
 
 
-#: Dispatch table for expression kinds that produce a value directly; the
-#: tail-callable kinds (let/app/case) and the hottest leaves (variables,
-#: numbers) are handled inline in the ``_eval`` loop instead.
+#: Dispatch table for expression kinds that produce a value directly,
+#: each called as ``handler(expr, env, budget)``; the tail-callable kinds
+#: (let/app/case) and the hottest leaves (variables, numbers) are handled
+#: inline in the ``_eval`` loop instead.
 _LEAF_HANDLERS = {
     EStr: _eval_str,
     EBool: _eval_bool,
@@ -317,7 +330,7 @@ _LEAF_HANDLERS = {
 }
 
 
-def _eval(expr: Expr, env: Env) -> Value:
+def _eval(expr: Expr, env: Env, budget: Optional[EvalBudget]) -> Value:
     # A while-loop on `expr`/`env` implements tail calls for let bodies and
     # case branches, which keeps Python stack depth proportional to true
     # (non-tail) recursion depth only.  The hottest kinds (variable lookup,
@@ -326,10 +339,9 @@ def _eval(expr: Expr, env: Env) -> Value:
     # Budget accounting mirrors that structure: one depth frame per _eval
     # entry (non-tail recursion only, by construction), one fuel step per
     # loop iteration (so tail-recursive spins still burn fuel).  The fuel
-    # increment is inlined — like the recorder reads — because it runs
-    # once per evaluated node; try/finally is zero-cost on the
-    # no-exception path in CPython 3.11+.
-    budget = getattr(_BUDGETS, "value", None)
+    # increment is inlined because it runs once per evaluated node;
+    # try/finally is zero-cost on the no-exception path in CPython 3.11+.
+    # ``budget`` is the one :func:`evaluate` read (``None``: unmetered).
     if budget is not None:
         budget.enter()
     try:
@@ -349,8 +361,8 @@ def _eval(expr: Expr, env: Env) -> Value:
                     scope = scope.parent
                 raise LittleRuntimeError(f"unbound variable {name!r}")
             if kind is EApp:
-                fn = _eval(expr.fn, env)
-                arg = _eval(expr.arg, env)
+                fn = _eval(expr.fn, env, budget)
+                arg = _eval(expr.arg, env, budget)
                 if type(fn) is not VClosure:
                     raise LittleRuntimeError(
                         f"attempt to apply a non-function: {fn!r}")
@@ -375,18 +387,18 @@ def _eval(expr: Expr, env: Env) -> Value:
                     expr._vcache = cached
                 return cached
             if kind is EOp:
-                return _eval_op(expr, env)
+                return _eval_op(expr, env, budget)
             if kind is ELet:
                 if expr.rec:
                     rec_env = env.child({})
-                    bound = _eval(expr.bound, rec_env)
+                    bound = _eval(expr.bound, rec_env, budget)
                     bindings = match(expr.pattern, bound)
                     if bindings is None:
                         raise MatchFailure("letrec pattern did not match")
                     rec_env.bindings.update(bindings)
                     env = rec_env
                 else:
-                    bound = _eval(expr.bound, env)
+                    bound = _eval(expr.bound, env, budget)
                     bindings = match(expr.pattern, bound)
                     if bindings is None:
                         raise MatchFailure("let pattern did not match")
@@ -394,7 +406,7 @@ def _eval(expr: Expr, env: Env) -> Value:
                 expr = expr.body
                 continue
             if kind is ECase:
-                scrutinee = _eval(expr.scrutinee, env)
+                scrutinee = _eval(expr.scrutinee, env, budget)
                 for pattern, branch in expr.branches:
                     bindings = match(pattern, scrutinee)
                     if bindings is not None:
@@ -406,7 +418,7 @@ def _eval(expr: Expr, env: Env) -> Value:
                 continue
             handler = _LEAF_HANDLERS.get(kind)
             if handler is not None:
-                return handler(expr, env)
+                return handler(expr, env, budget)
             raise LittleRuntimeError(f"cannot evaluate {expr!r}")
     finally:
         if budget is not None:
@@ -417,15 +429,15 @@ def _bool(flag: bool) -> VBool:
     return _TRUE if flag else _FALSE
 
 
-def _eval_op(expr: EOp, env: Env) -> Value:
+def _eval_op(expr: EOp, env: Env, budget: Optional[EvalBudget]) -> Value:
     op = expr.op
     operands = expr.args
     # Arity-specialized operand evaluation: no intermediate list building
     # or re-scanning on the binary/unary hot paths (E-OP-NUM fires once per
     # arithmetic node per re-evaluation, so this is the innermost loop).
     if len(operands) == 2:
-        a = _eval(operands[0], env)
-        b = _eval(operands[1], env)
+        a = _eval(operands[0], env, budget)
+        b = _eval(operands[1], env, budget)
         if type(a) is VNum and type(b) is VNum:
             av = a.value
             bv = b.value
@@ -437,7 +449,7 @@ def _eval_op(expr: EOp, env: Env) -> Value:
                 return VNum(av * bv, OpTrace("*", (a.trace, b.trace)))
             if op == "<":
                 outcome = av < bv
-                recorder = getattr(_RECORDERS, "value", None)
+                recorder = _RECORDERS.value
                 if recorder is not None:
                     recorder.comparisons.append(
                         ("<", a.trace, b.trace, outcome))
@@ -445,24 +457,24 @@ def _eval_op(expr: EOp, env: Env) -> Value:
             if op in NUMERIC_OPS:         # "/", "mod", "pow": all partial
                 result = apply_numeric_op(op, (av, bv))
                 trace = OpTrace(op, (a.trace, b.trace))
-                recorder = getattr(_RECORDERS, "value", None)
+                recorder = _RECORDERS.value
                 if recorder is not None:
                     recorder.partials.append(trace)
                 return VNum(result, trace)
         args = (a, b)
     elif len(operands) == 1:
-        a = _eval(operands[0], env)
+        a = _eval(operands[0], env, budget)
         if type(a) is VNum and op in NUMERIC_OPS:
             result = apply_numeric_op(op, (a.value,))
             trace = OpTrace(op, (a.trace,))
             if op in _PARTIAL_OPS:
-                recorder = getattr(_RECORDERS, "value", None)
+                recorder = _RECORDERS.value
                 if recorder is not None:
                     recorder.partials.append(trace)
             return VNum(result, trace)
         args = (a,)
     else:
-        args = tuple(_eval(arg, env) for arg in operands)
+        args = tuple(_eval(arg, env, budget) for arg in operands)
 
     all_nums = True
     for arg in args:
@@ -488,14 +500,14 @@ def _eval_op(expr: EOp, env: Env) -> Value:
                 outcome = left.value <= right.value
             else:
                 outcome = left.value >= right.value
-            recorder = getattr(_RECORDERS, "value", None)
+            recorder = _RECORDERS.value
             if recorder is not None:
                 recorder.comparisons.append(
                     (op, left.trace, right.trace, outcome))
             return _bool(outcome)
         if op == "toString":
             rendered = format_number(args[0].value)
-            recorder = getattr(_RECORDERS, "value", None)
+            recorder = _RECORDERS.value
             if recorder is not None:
                 recorder.tostrings.append((args[0].trace, rendered))
             return VStr(rendered)
@@ -504,7 +516,6 @@ def _eval_op(expr: EOp, env: Env) -> Value:
         return _bool(not args[0].value)
     if op == "+" and isinstance(args[0], VStr) and isinstance(args[1], VStr):
         result = args[0].value + args[1].value
-        budget = getattr(_BUDGETS, "value", None)
         if budget is not None:
             # Quadratic string building (repeated concat) is the string
             # analogue of an exponential list: charge produced characters.

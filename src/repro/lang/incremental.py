@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .ast import Loc
 from .errors import LittleRuntimeError
+from .eval import get_budget, get_recorder, set_recorder
 from .ops import apply_numeric_op
 from .values import VCons, VNum, Value, format_number
 
@@ -86,15 +87,13 @@ class EvalCache:
 
 def record_evaluation(program) -> Tuple[Value, EvalCache]:
     """Fully evaluate ``program`` while recording control-flow guards."""
-    from . import eval as eval_module
-
     recorder = Recorder()
-    previous = eval_module.get_recorder()
-    eval_module.set_recorder(recorder)
+    previous = get_recorder()
+    set_recorder(recorder)
     try:
         output = program.evaluate()
     finally:
-        eval_module.set_recorder(previous)
+        set_recorder(previous)
     return output, EvalCache(output, recorder)
 
 
@@ -182,8 +181,7 @@ def reevaluate(cache: EvalCache, rho: Dict[Loc, float]) -> Optional[Value]:
     # LittleRuntimeError subtype), not be swallowed as a guard flip, which
     # would send the caller into an even more expensive full
     # re-evaluation.
-    from . import eval as eval_module
-    budget = eval_module.get_budget()
+    budget = get_budget()
     if budget is not None:
         budget.consume(len(cache.comparisons) + len(cache.tostrings)
                        + len(cache.num_matches) + len(cache.partials))

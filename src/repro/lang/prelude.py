@@ -61,15 +61,25 @@ def prelude_bindings(frozen: bool = True) -> Tuple[Binding, ...]:
 @lru_cache(maxsize=2)
 def _prelude_env(frozen: bool):
     from .errors import MatchFailure
-    from .eval import Env, _eval, match
+    from .eval import Env, _eval, get_recorder, match, set_recorder
 
-    base = Env()
-    for pattern, bound, _rec in prelude_bindings(frozen):
-        value = _eval(bound, base)
-        bindings = match(pattern, value)
-        if bindings is None:
-            raise MatchFailure("prelude binding did not match its pattern")
-        base.bindings.update(bindings)
+    # The first program to run in the process triggers this evaluation
+    # from inside its own budget scope and guard recording.  Neither may
+    # see it: the program would be charged for the Prelude, and record
+    # its guards and partials, on its first run only.
+    previous = get_recorder()
+    set_recorder(None)
+    try:
+        base = Env()
+        for pattern, bound, _rec in prelude_bindings(frozen):
+            value = _eval(bound, base, None)
+            bindings = match(pattern, value)
+            if bindings is None:
+                raise MatchFailure(
+                    "prelude binding did not match its pattern")
+            base.bindings.update(bindings)
+    finally:
+        set_recorder(previous)
     return base
 
 

@@ -10,15 +10,23 @@ and session wiring (rollback on exhaustion), and the CLI's
 ``program_limit`` diagnostics (the editor-integration contract).
 """
 
+import json
+import subprocess
+import sys
+import threading
+
 import pytest
 
 from repro.cli import main
 from repro.core.pipeline import SyncPipeline
 from repro.core.run import run_source
 from repro.editor.session import LiveSession
+from repro.examples import example_source
 from repro.lang.errors import (LittleError, LittleRuntimeError,
                                ResourceExhausted)
-from repro.lang.eval import EvalBudget, budget_scope, evaluate
+from repro.lang.eval import (EvalBudget, budget_scope, evaluate, get_budget,
+                             get_recorder)
+from repro.lang.incremental import record_evaluation
 from repro.lang.program import parse_program
 
 #: Tail-recursive spin: consumes fuel forever at constant depth/size.
@@ -55,6 +63,63 @@ DEAD_SQRT = ("(def x 30) (def dead (sqrt (- x 20))) "
 
 #: A slider whose low end makes the program take a negative square root.
 SLIDER_SQRT = "(def r 10{0-20}) (svg [(rect 'red' (sqrt (- r 5)) 20 30 40)])"
+
+#: A corpus program with comparisons (``zeroTo``) and partial operations
+#: (``/``, ``sin``) among its guards.
+GUARDED = example_source("sine_wave_of_boxes")
+
+#: Run in a fresh interpreter, whose Prelude has not been evaluated yet:
+#: two budgeted recordings of the program at ``sys.argv[1]``, printed as
+#: JSON in the form of :func:`charges`.
+FRESH_PROCESS_CHARGES = """
+import json, sys
+from repro.lang.eval import EvalBudget, budget_scope
+from repro.lang.incremental import record_evaluation
+from repro.lang.program import parse_program
+
+source = open(sys.argv[1], encoding="utf-8").read()
+runs = []
+for _ in range(2):
+    budget = EvalBudget()
+    with budget_scope(budget):
+        _, cache = record_evaluation(parse_program(source))
+    runs.append([budget.fuel, budget.size, len(cache.comparisons),
+                 len(cache.tostrings), len(cache.num_matches),
+                 len(cache.partials)])
+print(json.dumps(runs))
+"""
+
+
+def charges(source):
+    """What one budgeted recording of ``source`` costs and records: fuel,
+    size, then the comparison, ``toString``, numeric-pattern and partial
+    counts."""
+    budget = EvalBudget()
+    with budget_scope(budget):
+        _, cache = record_evaluation(parse_program(source))
+    return [budget.fuel, budget.size, len(cache.comparisons),
+            len(cache.tostrings), len(cache.num_matches),
+            len(cache.partials)]
+
+
+def on_fresh_thread(fn):
+    """``fn()`` on a new thread, which has never installed a budget or a
+    recorder; returns its result or raises its exception."""
+    outcome = {}
+
+    def body():
+        try:
+            outcome["result"] = fn()
+        except Exception as error:
+            outcome["error"] = error
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
 
 
 class TestEvalBudget:
@@ -116,6 +181,70 @@ class TestEvalBudget:
     def test_no_budget_costs_nothing_and_caps_nothing(self):
         program = parse_program(GOOD)
         evaluate(program.ast)        # no scope armed: unchanged behavior
+
+
+class TestFreshThread:
+    """A thread that never installed a budget or a recorder reads
+    ``None`` for both, and meters and records like the main thread."""
+
+    def test_no_budget_and_no_recorder(self):
+        assert on_fresh_thread(lambda: (get_budget(), get_recorder())) \
+            == (None, None)
+
+    def test_charges_and_records_as_on_main_thread(self):
+        assert on_fresh_thread(lambda: charges(GUARDED)) == charges(GUARDED)
+
+    def test_spin_trips_fuel(self):
+        def spin():
+            with budget_scope(EvalBudget(max_fuel=10_000)):
+                evaluate(parse_program(SPIN).ast)
+
+        with pytest.raises(ResourceExhausted) as info:
+            on_fresh_thread(spin)
+        assert info.value.kind == "fuel"
+
+    def test_nested_scopes_restore_none(self):
+        def nested():
+            seen = []
+            with budget_scope(EvalBudget()) as outer:
+                with budget_scope(EvalBudget()) as inner:
+                    seen.append(get_budget() is inner)
+                seen.append(get_budget() is outer)
+            seen.append(get_budget() is None)
+            return seen
+
+        assert on_fresh_thread(nested) == [True, True, True]
+
+
+class TestPreludeOutsideBudget:
+    """The Prelude is evaluated once per process, outside whichever
+    budget and recording the first program to run has armed."""
+
+    def test_first_run_in_a_process_is_charged_like_the_next(
+            self, tmp_path, repro_env):
+        # The Prelude is already warm in this process, hence the fresh one.
+        path = tmp_path / "guarded.little"
+        path.write_text(GUARDED, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-c", FRESH_PROCESS_CHARGES, str(path)],
+            capture_output=True, text=True, env=repro_env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        first, second = json.loads(result.stdout)
+        assert first == second == charges(GUARDED)
+        assert first[2] and first[5]      # comparisons and partials
+
+    def test_check_passes_at_the_programs_own_fuel(self, tmp_path,
+                                                   repro_env):
+        path = tmp_path / "guarded.little"
+        path.write_text(GUARDED, encoding="utf-8")
+        fuel = charges(GUARDED)[0]
+        for steps, code in ((fuel, 0), (fuel - 1, 1)):
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "check", str(path),
+                 "--eval-budget", str(steps)],
+                capture_output=True, text=True, env=repro_env, timeout=120)
+            assert result.returncode == code, (steps, result.stderr)
+        assert "program_limit" in result.stderr
 
 
 class TestPipelineBudget:
