@@ -3,7 +3,6 @@
 from .attrs import (color_number_to_css, path_command_groups,
                     path_data_to_string, points_to_string, rgba_to_css,
                     transform_to_string, translate_attr)
-from .bbox import BBox, canvas_bbox, shape_bbox
 from .canvas import AttrRef, Canvas, Shape
 from .importer import import_svg_file, svg_to_little
 from .node import (EDITOR_ATTRS, SHAPE_KINDS, SvgNode, parse_canvas,
@@ -14,7 +13,6 @@ __all__ = [
     "color_number_to_css", "path_command_groups", "path_data_to_string",
     "points_to_string", "rgba_to_css", "transform_to_string",
     "translate_attr",
-    "BBox", "canvas_bbox", "shape_bbox",
     "AttrRef", "Canvas", "Shape",
     "EDITOR_ATTRS", "SHAPE_KINDS", "SvgNode", "parse_canvas",
     "value_to_node",

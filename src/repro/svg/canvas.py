@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from ..lang.ast import Loc
 from ..lang.errors import SvgError
 from ..lang.values import VNum, Value, is_list, to_pylist
+from ..trace.trace import all_locs
 from .attrs import path_command_groups
 from .node import SvgNode, parse_canvas, rebuild_node
 
@@ -130,22 +130,9 @@ class Shape:
     def dep_locs(self) -> frozenset:
         """``Loc.ident`` of every location (frozen or not) appearing in any
         attribute trace — "which changes could affect this shape?"."""
-        if self._dep_locs is not None:
-            return self._dep_locs
-        idents = set()
-        seen = set()
-        stack = list(self.attr_traces())
-        while stack:
-            node = stack.pop()
-            if type(node) is Loc:
-                idents.add(node.ident)
-            else:
-                key = id(node)
-                if key in seen:        # traces are DAGs; walk shared
-                    continue           # subtrees once per shape
-                seen.add(key)
-                stack.extend(node.args)
-        self._dep_locs = frozenset(idents)
+        if self._dep_locs is None:
+            self._dep_locs = frozenset(
+                loc.ident for loc in all_locs(*self.attr_traces()))
         return self._dep_locs
 
     def path_coordinate_axes(self) -> List[int]:

@@ -57,8 +57,19 @@ class SvgNode:
         return self.has_attr("HIDDEN")
 
 
-def value_to_node(value: Value, path: str = "root") -> SvgNode:
-    """Validate and convert a little value into an :class:`SvgNode` tree."""
+#: How deep SVG nodes may nest in a program's output.  Converting,
+#: flattening, rebuilding and rendering the canvas recurse once or twice per
+#: level, so this keeps them well inside the recursion limit the evaluator
+#: sets; a deeper output is a program error (the examples nest two levels).
+MAX_NESTING = 2000
+
+
+def value_to_node(value: Value, path: str = "root",
+                  depth: int = 0) -> SvgNode:
+    """Validate and convert a little value into an :class:`SvgNode` tree,
+    ``depth`` levels below the root."""
+    if depth > MAX_NESTING:
+        raise SvgError(f"SVG nodes nest more than {MAX_NESTING} levels deep")
     if not is_list(value):
         raise SvgError(f"{path}: SVG node must be a list")
     parts = to_pylist(value)
@@ -83,7 +94,7 @@ def value_to_node(value: Value, path: str = "root") -> SvgNode:
         attrs.append((pair_parts[0].value, pair_parts[1]))
     if not is_list(children_value):
         raise SvgError(f"{path}: children of {kind!r} must be a list")
-    children = [value_to_node(child, f"{path}/{kind}[{index}]")
+    children = [value_to_node(child, f"{path}/{kind}[{index}]", depth + 1)
                 for index, child in enumerate(to_pylist(children_value))]
     return SvgNode(kind, attrs, children)
 

@@ -29,7 +29,9 @@ from typing import Mapping, Tuple
 
 from ..lang.ast import Loc
 from ..lang.errors import LittleRuntimeError, SolverFailure
-from ..trace.trace import Trace, eval_trace, is_addition_only, occurrences
+from ..lang.ops import apply_numeric_op
+from ..trace.trace import (Trace, eval_trace, is_addition_only, occurrences,
+                           postorder)
 
 _REL_TOL = 1e-9
 _ABS_TOL = 1e-6
@@ -60,28 +62,59 @@ def in_solver_fragment(trace: Trace, loc: Loc) -> bool:
 # ---------------------------------------------------------------------------
 
 def walk_plus(rho: Mapping[Loc, float], loc: Loc,
-              trace: Trace) -> Tuple[float, float]:
+              order) -> Tuple[float, float]:
     """``WalkPlus(ρ, ℓ, t) = (c, s)``: occurrence count of ℓ and the partial
-    sum of everything else (Figure 6A)."""
-    if isinstance(trace, Loc):
-        if trace == loc:
-            return (1.0, 0.0)
-        try:
-            return (0.0, rho[trace])
-        except KeyError as exc:
-            raise SolverFailure(f"location {trace.display()} has no value "
-                                "in rho") from exc
-    if trace.op != "+":
+    sum of everything else (Figure 6A), from the :func:`postorder` of t."""
+    count, known, cone, additions = _split(rho, loc, order)
+    if not additions:
         raise SolverFailure("trace is not addition-only")
-    count1, sum1 = walk_plus(rho, loc, trace.args[0])
-    count2, sum2 = walk_plus(rho, loc, trace.args[1])
-    return (count1 + count2, sum1 + sum2)
+    if not cone:
+        return 0.0, known[id(order[-1])]
+    return float(count), _reevaluate(known, cone, 0.0)
+
+
+def _split(rho: Mapping[Loc, float], loc: Loc, order):
+    """Split a trace's :func:`postorder` at ℓ: how many times ℓ occurs in
+    the trace, the value of each node without ℓ by ``id``, the *cone* (the
+    nodes with ℓ, in postorder) and whether ``+`` is the only operator."""
+    counts, known, cone, additions = {}, {}, [], True
+    try:
+        for node in order:
+            if type(node) is Loc:
+                if node.ident != loc.ident:   # ``node != loc``, inlined
+                    known[id(node)] = rho[node]
+                    continue
+                count = 1
+            else:
+                additions = additions and node.op == "+"
+                count = 0
+                for arg in node.args:
+                    count += counts.get(id(arg), 0)
+                if not count:
+                    known[id(node)] = apply_numeric_op(
+                        node.op, [known[id(arg)] for arg in node.args])
+                    continue
+            counts[id(node)] = count
+            cone.append(node)
+    except (KeyError, LittleRuntimeError) as exc:
+        raise SolverFailure(f"known subtrace failed to evaluate: {exc!r}") \
+            from exc
+    return counts.get(id(order[-1]), 0), known, cone, additions
+
+
+def _reevaluate(values: dict, cone, x: float) -> float:
+    """The trace's value with ``x`` for ℓ: evaluates the cone into
+    ``values``, which holds the value of every other node."""
+    for node in cone:
+        values[id(node)] = x if type(node) is Loc else apply_numeric_op(
+            node.op, [values[id(arg)] for arg in node.args])
+    return values[id(cone[-1])]
 
 
 def solve_addition_only(rho: Mapping[Loc, float], loc: Loc, target: float,
                         trace: Trace) -> float:
     """``SolveA(ρ, ℓ, n = t) = (n − s)/c`` (Figure 6A)."""
-    count, partial_sum = walk_plus(rho, loc, trace)
+    count, partial_sum = walk_plus(rho, loc, postorder((trace,)))
     if count == 0:
         raise SolverFailure(f"{loc.display()} does not occur in the trace")
     return (target - partial_sum) / count
@@ -95,36 +128,33 @@ def solve_single_occurrence(rho: Mapping[Loc, float], loc: Loc,
                             target: float, trace: Trace) -> float:
     """``SolveB`` (Figure 6B): peel operators off the trace, applying
     inverse operations, until the unknown location remains."""
-    return _apply_inverses(_compile_single_occurrence(rho, loc, trace),
-                           target)
+    order = postorder((trace,))
+    count, known, _, _ = _split(rho, loc, order)
+    return _apply_inverses(
+        _compile_single_occurrence(loc, order[-1], count, known), target)
 
 
-def _compile_single_occurrence(rho: Mapping[Loc, float], loc: Loc,
-                               trace: Trace):
-    """The descent of SolveB as data: a list of ``(inverse, op, known)``
-    steps to apply to the target in order."""
-    if occurrences(trace, loc) != 1:
+def _compile_single_occurrence(loc: Loc, node, count: int, known):
+    """The descent of SolveB from the root ``node``, in which ℓ occurs
+    ``count`` times, as data: a list of ``(inverse, op, known)`` steps to
+    apply to the target in order."""
+    if count != 1:
         raise SolverFailure(f"{loc.display()} must occur exactly once")
     steps = []
-    node = trace
-    while not isinstance(node, Loc):
+    while type(node) is not Loc:
         if len(node.args) == 1:
             steps.append((_invert_unary, node.op, None))
             node = node.args[0]
         elif len(node.args) == 2:
             left, right = node.args
-            if occurrences(left, loc) == 1:
-                steps.append((_invert_binary_right, node.op,
-                              _eval_known(rho, right)))
+            if id(right) in known:
+                steps.append((_invert_binary_right, node.op, known[id(right)]))
                 node = left
             else:
-                steps.append((_invert_binary_left, node.op,
-                              _eval_known(rho, left)))
+                steps.append((_invert_binary_left, node.op, known[id(left)]))
                 node = right
         else:
             raise SolverFailure(f"operator {node.op!r} has no inverse")
-    if node != loc:
-        raise SolverFailure("descended to the wrong location")
     return steps
 
 
@@ -134,17 +164,6 @@ def _apply_inverses(steps, target: float) -> float:
         target = invert(op, target) if known is None \
             else invert(op, known, target)
     return target
-
-
-def _eval_known(rho: Mapping[Loc, float], trace: Trace) -> float:
-    try:
-        return eval_trace(trace, rho)
-    except KeyError as exc:
-        raise SolverFailure("trace mentions a location with no value "
-                            "in rho") from exc
-    except LittleRuntimeError as exc:
-        raise SolverFailure(f"known subtrace failed to evaluate: {exc}") \
-            from exc
 
 
 def _invert_unary(op: str, n: float) -> float:
@@ -251,36 +270,36 @@ def compile_solve_one(rho: Mapping[Loc, float], loc: Loc, trace: Trace):
 
     During a drag, a trigger solves the *same* equation once per mouse
     sample with only the target changing; the occurrence counts, the
-    descent path through the trace and every known subtrace value are
-    functions of ``(ρ, ℓ, t)`` alone.  This hoists all of that to one
-    up-front walk, leaving per-sample work of a few arithmetic inverse
-    steps (plus the back-substitution check).  Failures that do not
+    descent path through the trace and the value of every node without ℓ
+    are functions of ``(ρ, ℓ, t)`` alone.  This hoists all of that to one
+    pass over the trace's postorder, leaving per-sample work of a few
+    arithmetic inverse steps, plus the back-substitution check, which
+    re-evaluates only the nodes with ℓ.  Failures that do not
     depend on the target (wrong occurrence count, unknown locations,
     non-invertible operators) are raised per call, verbatim, by the
     returned closure; target-dependent ones (trig range, division by a
     zero target, the verification itself) stay inside it.
     """
-    steps = None
+    order = postorder((trace,))
     try:
-        count, partial = walk_plus(rho, loc, trace)
-        if count == 0:
-            raise SolverFailure(
-                f"{loc.display()} does not occur in the trace")
-    except SolverFailure:
-        try:
-            steps = _compile_single_occurrence(rho, loc, trace)
-        except SolverFailure as failure:
-            def failing(target: float, _failure=failure) -> float:
-                raise _failure
-            return failing
-    check = dict(rho)
+        count, values, cone, additions = _split(rho, loc, order)
+        if cone and additions:
+            # SolveA, with walk_plus's (c, s) read off the split
+            count, steps = float(count), None
+            partial = _reevaluate(values, cone, 0.0)
+        else:
+            steps = _compile_single_occurrence(loc, order[-1], count, values)
+    except SolverFailure as failure:
+        def failing(target: float, _failure=failure) -> float:
+            raise _failure
+        return failing
 
     def solve(target: float) -> float:
         if steps is None:
             solution = (target - partial) / count
         else:
             solution = _apply_inverses(steps, target)
-        _verify(check, loc, target, trace, solution)
+        _verify(values, cone, target, solution)
         return solution
 
     return solve
@@ -312,22 +331,26 @@ def solve_linear(rho: Mapping[Loc, float], loc: Loc, target: float,
     if slope == 0:
         raise SolverFailure("trace does not depend on the unknown")
     solution = (target - f0) / slope
-    _verify(probe, loc, target, trace, solution)
+    if not math.isfinite(solution):
+        raise SolverFailure(f"non-finite solution {solution}")
+    _check(evaluate_at(solution), target)
     return solution
 
 
-def _verify(check: dict, loc: Loc, target: float, trace: Trace,
-            solution: float) -> None:
-    """Substitute ``solution`` back into the trace and check it against the
-    target.  ``check`` is a scratch copy of ρ owned by the caller (its
-    ``loc`` entry is overwritten)."""
+def _verify(values: dict, cone, target: float, solution: float) -> None:
+    """Substitute ``solution`` for ℓ, re-evaluate the cone and check the
+    trace against the target."""
     if not math.isfinite(solution):
         raise SolverFailure(f"non-finite solution {solution}")
-    check[loc] = solution
     try:
-        value = eval_trace(trace, check)
+        value = _reevaluate(values, cone, solution)
     except LittleRuntimeError as exc:
         raise SolverFailure(f"solution does not evaluate: {exc}") from exc
+    _check(value, target)
+
+
+def _check(value: float, target: float) -> None:
+    """The back-substitution check: the solution reproduces the target."""
     if not math.isclose(value, target, rel_tol=_REL_TOL, abs_tol=_ABS_TOL):
         raise SolverFailure(
             f"solution check failed: got {value}, wanted {target}")

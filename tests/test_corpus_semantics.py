@@ -7,7 +7,7 @@ import pytest
 
 from repro.editor import LiveSession
 from repro.examples import example_source, load_example
-from repro.svg import Canvas, canvas_bbox
+from repro.svg import Canvas
 
 
 def canvas_of(name):
@@ -182,6 +182,18 @@ class TestGeometry:
         canvas = canvas_of("chicago_flag")
         group_box = canvas[0]
         assert group_box.node.attr("fill").value == "transparent"
-        box = canvas_bbox(canvas.visible_shapes())
-        from repro.svg import shape_bbox
-        assert shape_bbox(group_box).contains(*box.center)
+        xs, ys = [], []
+        for shape in canvas.visible_shapes():
+            if shape.kind == "rect":
+                x, y, width, height = (shape.simple_num(key).value for key in
+                                       ("x", "y", "width", "height"))
+                xs += [x, x + width]
+                ys += [y, y + height]
+            else:
+                xs += [point[0].value for point in shape.points()]
+                ys += [point[1].value for point in shape.points()]
+        center_x = (min(xs) + max(xs)) / 2
+        center_y = (min(ys) + max(ys)) / 2
+        x, y, width, height = (group_box.simple_num(key).value for key in
+                               ("x", "y", "width", "height"))
+        assert x <= center_x <= x + width and y <= center_y <= y + height

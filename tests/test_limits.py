@@ -90,6 +90,52 @@ print(json.dumps(runs))
 """
 
 
+#: 61 definitions, each doubling the one before: the rect's ``x`` has a
+#: trace of 61 distinct nodes that expands to 2**60 leaves.
+DOUBLINGS = "(def a0 1)\n" + "".join(
+    f"(def a{n} (+ a{n - 1} a{n - 1}))\n" for n in range(1, 61)) + \
+    "(svg [(rect 'red' a60 10 20 30)])\n"
+
+#: A loop adding 1 for 30,000 steps: the rect's ``x`` has a trace that
+#: deep.
+DEEP_TRACE = ("(defrec acc (\\(n x) (if (= n 0) x (acc (- n 1) (+ x 1))))) "
+              "(svg [(rect 'red' (acc 30000 10) 0 5 5)])")
+
+#: 30,000 groups around one rect.
+NESTED_GROUPS = ("(defrec nest (\\(k node) (if (= k 0) node "
+                 "(nest (- k 1) ['g' [] [node]])))) "
+                 "(svg [(nest 30000 (rect 'red' 1 2 3 4))])")
+
+#: Run in a fresh interpreter: the JSON list of requests in ``sys.argv[1]``
+#: through one ``ServeApp``, each without a ``session`` sent to the last
+#: session opened; prints each answer's status (``ok`` or the error code)
+#: and the incident count.
+SERVE_REQUESTS = """
+import json, sys
+from repro.serve import ServeApp
+
+app = ServeApp()
+statuses, session = [], None
+for request in json.loads(sys.argv[1]):
+    if request["cmd"] != "open":
+        request["session"] = session
+    answer = app.handle(request)
+    session = answer.get("session", session)
+    statuses.append("ok" if answer["ok"] else answer["error"]["code"])
+print(json.dumps([statuses, app.handle({"cmd": "stats"})["stats"]["incidents"]]))
+"""
+
+
+def serve_in_subprocess(requests, repro_env):
+    """``[statuses, incidents]`` from :data:`SERVE_REQUESTS`; a hang fails
+    the test when the timeout expires."""
+    result = subprocess.run(
+        [sys.executable, "-c", SERVE_REQUESTS, json.dumps(requests)],
+        capture_output=True, text=True, env=repro_env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
 def charges(source):
     """What one budgeted recording of ``source`` costs and records: fuel,
     size, then the comparison, ``toString``, numeric-pattern and partial
@@ -245,6 +291,48 @@ class TestPreludeOutsideBudget:
                 capture_output=True, text=True, env=repro_env, timeout=120)
             assert result.returncode == code, (steps, result.stderr)
         assert "program_limit" in result.stderr
+
+
+class TestSharedAndDeepOutputs:
+    """Trace readers visit each shared node once and never recurse, so a
+    program whose traces share or nest without bound opens, drags and
+    releases; output nodes nested too deep end in a program error.
+    Each case runs in a fresh interpreter with a timeout."""
+
+    def test_doubled_trace_serves(self, repro_env):
+        open_fair = {"cmd": "open", "source": DOUBLINGS}
+        statuses, incidents = serve_in_subprocess([
+            open_fair,
+            {"cmd": "drag", "shape": 0, "zone": "INTERIOR",
+             "steps": [[3, 2]]},
+            {"cmd": "release"},
+            {"cmd": "hover", "shape": 0, "zone": "INTERIOR"},
+            dict(open_fair, heuristic="biased"),
+        ], repro_env)
+        assert statuses == ["ok"] * 5 and incidents == 0
+
+    def test_doubled_trace_runs_with_biased_heuristic(self, tmp_path,
+                                                      repro_env):
+        path = tmp_path / "doublings.little"
+        path.write_text(DOUBLINGS, encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(path),
+             "--heuristic", "biased"],
+            capture_output=True, text=True, env=repro_env, timeout=60)
+        assert result.returncode == 0, result.stderr
+
+    def test_deep_trace_drags(self, repro_env):
+        statuses, incidents = serve_in_subprocess([
+            {"cmd": "open", "source": DEEP_TRACE},
+            {"cmd": "drag", "shape": 0, "zone": "INTERIOR",
+             "steps": [[3, 2]]},
+        ], repro_env)
+        assert statuses == ["ok", "ok"] and incidents == 0
+
+    def test_nesting_too_deep_is_a_program_error(self, repro_env):
+        statuses, incidents = serve_in_subprocess(
+            [{"cmd": "open", "source": NESTED_GROUPS}], repro_env)
+        assert statuses == ["program_error"] and incidents == 0
 
 
 class TestPipelineBudget:

@@ -10,7 +10,7 @@ from repro.synthesis import (in_a_fragment, in_b_fragment,
                              in_solver_fragment, solve_addition_only,
                              solve_linear, solve_one,
                              solve_single_occurrence, walk_plus)
-from repro.trace import OpTrace, eval_trace
+from repro.trace import OpTrace, eval_trace, postorder
 
 
 @pytest.fixture
@@ -32,23 +32,23 @@ def plus(*traces):
 class TestWalkPlus:
     def test_single_occurrence(self, env):
         a, b, _, rho = env
-        count, total = walk_plus(rho, a, plus(a, b))
+        count, total = walk_plus(rho, a, postorder([plus(a, b)]))
         assert (count, total) == (1.0, 10.0)
 
     def test_multiple_occurrences(self, env):
         a, b, _, rho = env
-        count, total = walk_plus(rho, a, plus(a, a, b))
+        count, total = walk_plus(rho, a, postorder([plus(a, a, b)]))
         assert (count, total) == (2.0, 10.0)
 
     def test_absent_location(self, env):
         a, b, c, rho = env
-        count, total = walk_plus(rho, c, plus(a, b))
+        count, total = walk_plus(rho, c, postorder([plus(a, b)]))
         assert count == 0.0 and total == 12.0
 
     def test_non_plus_rejected(self, env):
         a, b, _, rho = env
         with pytest.raises(SolverFailure):
-            walk_plus(rho, a, OpTrace("*", (a, b)))
+            walk_plus(rho, a, postorder([OpTrace("*", (a, b))]))
 
 
 class TestSolveA:

@@ -1,14 +1,13 @@
 """Tests for the SVG substrate: node model, attribute translation
-(Appendix A), rendering, canvas flattening and bounding boxes."""
+(Appendix A), rendering and canvas flattening."""
 
 import pytest
 
 from repro.lang import evaluate, parse_expr, parse_program
 from repro.lang.errors import SvgError
-from repro.svg import (AttrRef, BBox, Canvas, SvgNode, canvas_bbox,
-                       color_number_to_css, parse_canvas,
-                       path_data_to_string, points_to_string, render_canvas,
-                       render_node, rgba_to_css, shape_bbox,
+from repro.svg import (AttrRef, Canvas, SvgNode, color_number_to_css,
+                       parse_canvas, path_data_to_string, points_to_string,
+                       render_canvas, render_node, rgba_to_css,
                        transform_to_string, translate_attr, value_to_node)
 
 
@@ -189,46 +188,3 @@ class TestCanvas:
         traces = sine_canvas.all_numeric_traces()
         # 12 boxes x (x, y, width, height) = 48 numeric attributes
         assert len(traces) == 48
-
-
-class TestBBox:
-    def test_rect(self):
-        canvas = canvas_of("(svg [(rect 'r' 10 20 30 40)])")
-        box = shape_bbox(canvas[0])
-        assert (box.x_min, box.y_min, box.x_max, box.y_max) == \
-            (10, 20, 40, 60)
-
-    def test_circle(self):
-        canvas = canvas_of("(svg [(circle 'c' 100 100 30)])")
-        box = shape_bbox(canvas[0])
-        assert box.width == 60 and box.center == (100, 100)
-
-    def test_line(self):
-        canvas = canvas_of("(svg [(line 's' 1 10 40 30 20)])")
-        box = shape_bbox(canvas[0])
-        assert (box.x_min, box.y_min, box.x_max, box.y_max) == \
-            (10, 20, 30, 40)
-
-    def test_polygon(self):
-        canvas = canvas_of(
-            "(svg [(polygon 'f' 's' 1 [[0 0] [10 0] [5 8]])])")
-        box = shape_bbox(canvas[0])
-        assert box.x_max == 10 and box.y_max == 8
-
-    def test_path(self):
-        canvas = canvas_of(
-            "(svg [(path 'f' 's' 1 ['M' 0 0 'L' 20 10])])")
-        box = shape_bbox(canvas[0])
-        assert box.x_max == 20 and box.y_max == 10
-
-    def test_union(self):
-        box = BBox(0, 0, 1, 1).union(BBox(5, 5, 6, 6))
-        assert (box.x_min, box.y_max) == (0, 6)
-
-    def test_contains(self):
-        assert BBox(0, 0, 10, 10).contains(5, 5)
-        assert not BBox(0, 0, 10, 10).contains(15, 5)
-
-    def test_canvas_bbox_union(self, sine_canvas):
-        box = canvas_bbox(sine_canvas)
-        assert box.x_min == 50.0   # first box x
