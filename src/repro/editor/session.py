@@ -326,9 +326,9 @@ class LiveSession:
 
         ``user`` is the full list of user-literal values in parse order
         (stable across re-parses of the same source); ``prelude`` lists the
-        ``(ident, value)`` pairs of any rewritten Prelude literals — Prelude
-        locations are parsed once per process, so their idents are stable
-        for the lifetime of the snapshot's holder.  A history entry from
+        ``(ident, value)`` pairs of any rewritten Prelude literals — each
+        freeze mode numbers the Prelude's literals from a fixed start, so
+        their idents are the same in every process.  A history entry from
         before a structural (or identity) edit carries its own ``source``
         text, since its overlays are relative to a different base program
         than the current one's; value edits, drags and slider moves keep
@@ -349,8 +349,9 @@ class LiveSession:
         text plus literal-value overlays, so restoring costs one (cacheable)
         parse instead of storing ASTs.  Snapshots are what the serve layer's
         :class:`~repro.serve.manager.SessionManager` keeps for sessions it
-        evicts; they are process-local when the Prelude has been modified
-        (Prelude location idents are per-process).
+        evicts, and what it persists for a warm restart: Prelude location
+        idents are the same in every process, so a snapshot whose
+        Prelude was modified restores in another.
         """
         current = self._drag_base if self._drag_base is not None \
             else self.program

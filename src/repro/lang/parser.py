@@ -28,10 +28,11 @@ from .lexer import NumberToken, Token, tokenize
 
 
 class LocAllocator:
-    """Issues globally unique location identifiers.
+    """Issues location identifiers counting up from ``start``.
 
-    A single shared allocator lets the parsed Prelude be reused across
-    programs without location-id collisions.
+    User programs share :data:`DEFAULT_ALLOCATOR` (from 1), so their
+    locations never collide; the Prelude parses with allocators of its own
+    whose ranges lie below it (:mod:`repro.lang.prelude`).
     """
 
     def __init__(self, start: int = 1):

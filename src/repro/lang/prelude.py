@@ -7,6 +7,11 @@ safe.  ``frozen=True`` (the default) freezes every Prelude literal, per §2.2;
 updates, including Prelude locations (paper Figure 1D shows ρ3 and ρ4 before
 freezing is taken into account).
 
+Each freeze mode numbers its literals from a fixed start below every user
+program's (those count up from 1), so a Prelude location has the same
+``Loc.ident`` in every process, whatever the process parsed first: session
+snapshots name rewritten Prelude literals by ident.
+
 The caches are **single-flight**: a bare ``lru_cache`` lets two threads
 race the first miss and parse the Prelude twice, yielding two distinct
 ``Loc`` identity sets — one ends up inside the cached ``prelude_env``'s
@@ -25,7 +30,7 @@ from threading import RLock
 from typing import Dict, Tuple
 
 from .ast import Expr, Loc, Pattern, iter_numbers
-from .parser import parse_definition_sequence
+from .parser import LocAllocator, parse_definition_sequence
 
 Binding = Tuple[Pattern, Expr, bool]
 
@@ -46,10 +51,15 @@ def prelude_source() -> str:
         return _prelude_source()
 
 
+#: The first ``Loc.ident`` of each freeze mode's Prelude literals.
+_PRELUDE_IDENT_START = {True: -2_000_000, False: -1_000_000}
+
+
 @lru_cache(maxsize=2)
 def _prelude_bindings(frozen: bool) -> Tuple[Binding, ...]:
     return tuple(parse_definition_sequence(
-        prelude_source(), auto_freeze=frozen, in_prelude=True))
+        prelude_source(), auto_freeze=frozen, in_prelude=True,
+        allocator=LocAllocator(_PRELUDE_IDENT_START[frozen])))
 
 
 def prelude_bindings(frozen: bool = True) -> Tuple[Binding, ...]:

@@ -143,9 +143,10 @@ class SessionManager:
         self.expired = 0
         self.edits = 0
         self.migrations = 0
-        #: Unexpected dispatch failures (sessions quarantined), heals
-        #: performed, sessions lost because healing had nothing to
-        #: restore from, and commands refused over budget.
+        #: Unexpected dispatch failures (``internal_error`` answers, with
+        #: or without a session to quarantine), heals performed, sessions
+        #: lost because healing had nothing to restore from, and commands
+        #: refused over budget.
         self.incidents = 0
         self.healed = 0
         self.heal_failures = 0
@@ -281,8 +282,6 @@ class SessionManager:
             if entry.poisoned is None:
                 entry.poisoned = incident
             entry.pending = None    # queued gesture died with the command
-        with self._lock:
-            self.incidents += 1
         if self.persister is not None:
             # The on-disk state converges onto last-good too.
             self.persister.mark_dirty(session_id)
@@ -309,6 +308,11 @@ class SessionManager:
         with self._lock:
             return sum(1 for entry in self._entries.values()
                        if entry.poisoned is not None)
+
+    def note_incident(self) -> None:
+        """Count one unexpected dispatch failure (``internal_error``)."""
+        with self._lock:
+            self.incidents += 1
 
     def note_limit_error(self) -> None:
         """Count one command refused with ``program_limit`` (422)."""

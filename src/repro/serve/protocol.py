@@ -212,6 +212,7 @@ class ServeApp:
             return ProtocolError("program_error", str(error)).to_response()
         except Exception as error:      # noqa: BLE001 — the shard boundary
             incident = f"inc{next(self._incident_ids)}"
+            self.manager.note_incident()
             sid = request.get("session") if isinstance(request, dict) \
                 else None
             if isinstance(sid, str):

@@ -84,10 +84,14 @@ def color_number_to_css(n: float) -> str:
     return f"rgb({level},{level},{level})"
 
 
-_PATH_COMMANDS = {
-    # command letter -> number of numeric parameters
-    "M": 2, "L": 2, "H": 1, "V": 1, "C": 6, "S": 4, "Q": 4, "T": 2,
-    "A": 7, "Z": 0,
+#: The path-data grammar: each (upper-case) command letter -> the axis
+#: (0 = x, 1 = y) of each number in one parameter group, so a group's
+#: length is the command's arity.  Of an arc's ``rx ry rotation large-arc
+#: sweep x y``, ``ry`` and ``y`` count as y and the rest as x.
+PATH_COMMANDS = {
+    "M": (0, 1), "L": (0, 1), "H": (0,), "V": (1,), "C": (0, 1) * 3,
+    "S": (0, 1) * 2, "Q": (0, 1) * 2, "T": (0, 1),
+    "A": (0, 1, 0, 0, 0, 0, 1), "Z": (),
 }
 
 
@@ -104,9 +108,10 @@ def path_command_groups(value: Value) -> List[Tuple[str, List[VNum]]]:
             raise SvgError("path data must start each group with a "
                            "command letter")
         command = item.value
-        expected = _PATH_COMMANDS.get(command.upper())
-        if expected is None:
+        axes = PATH_COMMANDS.get(command.upper())
+        if axes is None:
             raise SvgError(f"unknown path command {command!r}")
+        expected = len(axes)
         numbers: List[VNum] = []
         index += 1
         while (index < len(items) and isinstance(items[index], VNum)):

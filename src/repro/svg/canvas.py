@@ -9,12 +9,12 @@ and path data ``'d'``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..lang.errors import SvgError
 from ..lang.values import VNum, Value, is_list, to_pylist
 from ..trace.trace import all_locs
-from .attrs import path_command_groups
+from .attrs import PATH_COMMANDS, path_command_groups
 from .node import SvgNode, parse_canvas, rebuild_node
 
 
@@ -26,7 +26,11 @@ class AttrRef:
 
     * ``('x',)`` — a plain numeric attribute;
     * ``('points', i, axis)`` — coordinate ``axis`` (0=x, 1=y) of point i;
-    * ``('d', i)`` — the i-th number in the path data list.
+    * ``('d', i)`` — the i-th number in the path data list;
+    * ``('transform', c, a)`` — argument ``a`` of transform command ``c``
+      (``a = 0`` is the command's name);
+    * ``('fill', i)``, ``('stroke', i)`` — component i of an
+      ``[r g b a]`` color.
     """
 
     name: str
@@ -40,7 +44,7 @@ class Shape:
         self.index = index
         self.node = node
         self.kind = node.kind
-        self._path_numbers: Optional[List[VNum]] = None
+        self._numbers: Optional[Dict[Tuple, VNum]] = None
         self._dep_locs: Optional[frozenset] = None
 
     def __repr__(self) -> str:
@@ -52,80 +56,58 @@ class Shape:
 
     # -- numeric attribute access ---------------------------------------------
 
+    def numbers(self) -> Dict[Tuple, VNum]:
+        """Every number in the shape's attributes, keyed by its
+        :class:`AttrRef` path.
+
+        Built in one walk of the node's attributes on first use and kept,
+        as the node never changes; of a key bound twice, only the last
+        binding counts (see :meth:`SvgNode.attr`).  Malformed ``'points'``,
+        ``'transform'`` and ``'d'`` lists raise :class:`SvgError`.
+        """
+        if self._numbers is None:
+            numbers: Dict[Tuple, VNum] = {}
+            for key, value in dict(self.node.attrs).items():
+                numbers.update(_attr_numbers(key, value))
+            self._numbers = numbers
+        return self._numbers
+
     def get_num(self, ref: AttrRef) -> VNum:
         """Resolve an :class:`AttrRef` to the numeric value it denotes."""
-        key = ref.path[0]
-        value = self.node.attr(key)
-        if value is None:
-            raise SvgError(f"shape {self.index} ({self.kind}) has no "
-                           f"attribute {key!r}")
-        if len(ref.path) == 1:
-            if not isinstance(value, VNum):
-                raise SvgError(f"attribute {key!r} is not a number")
-            return value
-        if key == "points":
-            _, point_index, axis = ref.path
-            points = to_pylist(value)
-            coords = to_pylist(points[point_index])
-            coord = coords[axis]
-            if not isinstance(coord, VNum):
-                raise SvgError(f"point {point_index} of shape "
-                               f"{self.index} is not numeric")
-            return coord
-        if key == "d":
-            _, number_index = ref.path
-            numbers = self.path_numbers()
-            return numbers[number_index]
-        if key == "transform":
-            _, command_index, arg_index = ref.path
-            commands = to_pylist(value)
-            parts = to_pylist(commands[command_index])
-            number = parts[arg_index]
-            if not isinstance(number, VNum):
-                raise SvgError(f"transform argument {arg_index} of shape "
-                               f"{self.index} is not numeric")
-            return number
-        raise SvgError(f"unsupported attribute path {ref.path!r}")
+        number = self.numbers().get(ref.path)
+        if number is None:
+            key = ref.path[0]
+            if self.node.attr(key) is None:
+                raise SvgError(f"shape {self.index} ({self.kind}) has no "
+                               f"attribute {key!r}")
+            raise SvgError(f"attribute {ref.name!r} of shape {self.index} "
+                           f"({self.kind}) is not a number")
+        return number
 
     def simple_num(self, key: str) -> VNum:
         return self.get_num(AttrRef(key, (key,)))
 
     def points(self) -> List[Tuple[VNum, VNum]]:
+        """The (x, y) numbers of each point in the 'points' list."""
         value = self.node.attr("points")
         if value is None or not is_list(value):
             raise SvgError(f"shape {self.index} has no 'points' list")
+        numbers = self.numbers()
         pairs = []
-        for point in to_pylist(value):
-            coords = to_pylist(point)
-            pairs.append((coords[0], coords[1]))
+        for index in range(len(to_pylist(value))):
+            x = numbers.get(("points", index, 0))
+            y = numbers.get(("points", index, 1))
+            if x is None or y is None:
+                raise SvgError(f"point {index} of shape {self.index} is "
+                               "not numeric")
+            pairs.append((x, y))
         return pairs
-
-    def path_numbers(self) -> List[VNum]:
-        """All numbers in the path data, flattened in order.
-
-        Cached per shape: every ``('d', i)`` AttrRef resolved through
-        :meth:`get_num` (zone analysis, trigger construction, hover) hits
-        the same parse, which is linear in the path length.
-        """
-        if self._path_numbers is not None:
-            return self._path_numbers
-        value = self.node.attr("d")
-        if value is None:
-            raise SvgError(f"shape {self.index} has no 'd' attribute")
-        numbers: List[VNum] = []
-        for _command, group in path_command_groups(value):
-            numbers.extend(group)
-        self._path_numbers = numbers
-        return numbers
 
     # -- loc dependencies (what the incremental Trigger stage tests) ------------
 
     def attr_traces(self) -> List:
         """Traces of every numeric value in this shape's attributes."""
-        traces = []
-        for key, value in self.node.attrs:
-            traces.extend(_attr_traces(key, value))
-        return traces
+        return [number.trace for number in self.numbers().values()]
 
     def dep_locs(self) -> frozenset:
         """``Loc.ident`` of every location (frozen or not) appearing in any
@@ -136,26 +118,16 @@ class Shape:
         return self._dep_locs
 
     def path_coordinate_axes(self) -> List[int]:
-        """For each number in :meth:`path_numbers`, whether it is an x (0)
-        or a y (1) coordinate."""
+        """For each ``('d', i)`` number, whether it is an x (0) or a y (1)
+        coordinate."""
         value = self.node.attr("d")
         if value is None:
             raise SvgError(f"shape {self.index} has no 'd' attribute")
         axes: List[int] = []
         for command, group in path_command_groups(value):
-            letter = command.upper()
-            if letter == "H":
-                axes.extend([0] * len(group))
-            elif letter == "V":
-                axes.extend([1] * len(group))
-            elif letter == "A":
-                # rx ry rot large-arc sweep x y — only the endpoint is a
-                # plain coordinate pair; mark the rest as x-like.
-                for chunk_start in range(0, len(group), 7):
-                    axes.extend([0, 1, 0, 0, 0, 0, 1])
-            else:
-                for position in range(len(group)):
-                    axes.append(position % 2)
+            pattern = PATH_COMMANDS[command.upper()]
+            axes.extend(pattern[position % len(pattern)]
+                        for position in range(len(group)))
         return axes
 
 
@@ -239,25 +211,24 @@ class Canvas:
         return traces
 
 
-def _attr_traces(key: str, value: Value):
+def _attr_numbers(key: str, value: Value
+                  ) -> Iterator[Tuple[Tuple, VNum]]:
+    """``(path, number)`` for each number in one attribute's value."""
     if isinstance(value, VNum):
-        return [value.trace]
-    if key == "points" and is_list(value):
-        traces = []
-        for point in to_pylist(value):
-            if is_list(point):
-                for coord in to_pylist(point):
-                    if isinstance(coord, VNum):
-                        traces.append(coord.trace)
-        return traces
-    if key in ("d", "fill", "stroke", "transform") and is_list(value):
-        traces = []
-        stack = list(to_pylist(value))
-        while stack:
-            item = stack.pop()
-            if isinstance(item, VNum):
-                traces.append(item.trace)
-            elif is_list(item):
-                stack.extend(to_pylist(item))
-        return traces
-    return []
+        yield (key,), value
+    elif not is_list(value):
+        return
+    elif key == "d":
+        numbers = (number for _command, group in path_command_groups(value)
+                   for number in group)
+        for index, number in enumerate(numbers):
+            yield ("d", index), number
+    elif key in ("points", "transform"):
+        for index, item in enumerate(to_pylist(value)):
+            for position, number in enumerate(to_pylist(item)):
+                if isinstance(number, VNum):
+                    yield (key, index, position), number
+    elif key in ("fill", "stroke"):
+        for index, number in enumerate(to_pylist(value)):
+            if isinstance(number, VNum):
+                yield (key, index), number

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..lang.errors import SvgImportError
 from ..lang.unparser import format_literal
+from .attrs import PATH_COMMANDS
 
 SUPPORTED_SHAPES = ("rect", "circle", "ellipse", "line", "polygon",
                     "polyline", "path", "text")
@@ -68,9 +69,6 @@ _NUMBER = re.compile(r"-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 _TRANSFORM = re.compile(r"([A-Za-z][A-Za-z]*)\s*\(([^)]*)\)")
 _TRANSFORM_COMMANDS = frozenset({"rotate", "translate", "scale", "matrix"})
 _CSS_URL_QUOTES = re.compile(r"url\(\s*(['\"])(.*?)\1\s*\)")
-#: Absolute path commands → parameter-group size (Z takes none).
-_PATH_ARITY = {"M": 2, "L": 2, "H": 1, "V": 1, "C": 6, "S": 4, "Q": 4,
-               "T": 2, "A": 7, "Z": 0}
 _PATH_SEPARATORS = frozenset(" \t\r\n,")
 #: CSS length units accepted (and stripped) on root width/height; pixel
 #: equivalence is assumed, percentages defer to the viewBox.
@@ -131,7 +129,7 @@ def parse_path_data(text: str) -> List[object]:
     def close_group() -> None:
         if command is None:
             return
-        arity = _PATH_ARITY[command.upper()]
+        arity = len(PATH_COMMANDS[command.upper()])
         if arity == 0:
             return
         if params == 0 or params % arity != 0:
@@ -145,7 +143,7 @@ def parse_path_data(text: str) -> List[object]:
             pos += 1
             continue
         if char.isalpha():
-            if char.upper() not in _PATH_ARITY:
+            if char.upper() not in PATH_COMMANDS:
                 raise SvgImportError(f"unknown path command {char!r}",
                                      reason="path")
             close_group()
@@ -157,8 +155,7 @@ def parse_path_data(text: str) -> List[object]:
         if command is None:
             raise SvgImportError("path data must start with a command "
                                  "letter", reason="path")
-        arity = _PATH_ARITY[command.upper()]
-        if arity == 0:
+        if not PATH_COMMANDS[command.upper()]:
             raise SvgImportError("number after path command 'Z'",
                                  reason="path")
         if command in ("A", "a") and params % 7 in (3, 4):

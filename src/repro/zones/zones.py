@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..lang.values import VNum, VStr, is_list, to_pylist
 from ..svg.canvas import AttrRef, Shape
 
 X_AXIS = "x"
@@ -37,131 +38,88 @@ def _simple(key: str, axis: str, sign: int = 1) -> Feature:
     return Feature(AttrRef(key, (key,)), axis, sign)
 
 
-def _point_feature(index: int, axis_index: int, axis: str,
-                   sign: int = 1) -> Feature:
-    name = f"points[{index}].{'x' if axis_index == 0 else 'y'}"
-    return Feature(AttrRef(name, ("points", index, axis_index)), axis, sign)
+_X, _Y = _simple("x", X_AXIS), _simple("y", Y_AXIS)
+_W, _H = _simple("width", X_AXIS), _simple("height", Y_AXIS)
+_NEG_W, _NEG_H = _simple("width", X_AXIS, -1), _simple("height", Y_AXIS, -1)
+_CX, _CY = _simple("cx", X_AXIS), _simple("cy", Y_AXIS)
+_POINT1 = (_simple("x1", X_AXIS), _simple("y1", Y_AXIS))
+_POINT2 = (_simple("x2", X_AXIS), _simple("y2", Y_AXIS))
 
+#: Figure 5 for the shape kinds whose attributes are fixed: each zone, in
+#: order, with the features it controls.  Built once; every shape of a
+#: kind shares these :class:`Feature` objects.
+FIGURE_5 = {
+    "rect": {
+        "INTERIOR": (_X, _Y),
+        "RIGHTEDGE": (_W,),
+        "BOTRIGHTCORNER": (_W, _H),
+        "BOTEDGE": (_H,),
+        "BOTLEFTCORNER": (_X, _NEG_W, _H),
+        "LEFTEDGE": (_X, _NEG_W),
+        "TOPLEFTCORNER": (_X, _Y, _NEG_W, _NEG_H),
+        "TOPEDGE": (_Y, _NEG_H),
+        "TOPRIGHTCORNER": (_Y, _W, _NEG_H),
+    },
+    "line": {"POINT1": _POINT1, "POINT2": _POINT2,
+             "EDGE": _POINT1 + _POINT2},
+    "circle": {"INTERIOR": (_CX, _CY),
+               "RIGHTEDGE": (_simple("r", X_AXIS),),
+               "BOTEDGE": (_simple("r", Y_AXIS),)},
+    "ellipse": {"INTERIOR": (_CX, _CY),
+                "RIGHTEDGE": (_simple("rx", X_AXIS),),
+                "BOTEDGE": (_simple("ry", Y_AXIS),)},
+    "text": {"INTERIOR": (_X, _Y)},
+}
 
-def _rect_zones(shape: Shape) -> List[Zone]:
-    i = shape.index
-    x_dx = _simple("x", X_AXIS)
-    y_dy = _simple("y", Y_AXIS)
-    w_dx = _simple("width", X_AXIS)
-    w_ndx = _simple("width", X_AXIS, -1)
-    h_dy = _simple("height", Y_AXIS)
-    h_ndy = _simple("height", Y_AXIS, -1)
-    return [
-        Zone(i, "INTERIOR", (x_dx, y_dy)),
-        Zone(i, "RIGHTEDGE", (w_dx,)),
-        Zone(i, "BOTRIGHTCORNER", (w_dx, h_dy)),
-        Zone(i, "BOTEDGE", (h_dy,)),
-        Zone(i, "BOTLEFTCORNER", (x_dx, w_ndx, h_dy)),
-        Zone(i, "LEFTEDGE", (x_dx, w_ndx)),
-        Zone(i, "TOPLEFTCORNER", (x_dx, y_dy, w_ndx, h_ndy)),
-        Zone(i, "TOPEDGE", (y_dy, h_ndy)),
-        Zone(i, "TOPRIGHTCORNER", (y_dy, w_dx, h_ndy)),
-    ]
-
-
-def _line_zones(shape: Shape) -> List[Zone]:
-    i = shape.index
-    return [
-        Zone(i, "POINT1", (_simple("x1", X_AXIS), _simple("y1", Y_AXIS))),
-        Zone(i, "POINT2", (_simple("x2", X_AXIS), _simple("y2", Y_AXIS))),
-        Zone(i, "EDGE", (_simple("x1", X_AXIS), _simple("y1", Y_AXIS),
-                         _simple("x2", X_AXIS), _simple("y2", Y_AXIS))),
-    ]
-
-
-def _circle_zones(shape: Shape) -> List[Zone]:
-    i = shape.index
-    return [
-        Zone(i, "INTERIOR", (_simple("cx", X_AXIS), _simple("cy", Y_AXIS))),
-        Zone(i, "RIGHTEDGE", (_simple("r", X_AXIS),)),
-        Zone(i, "BOTEDGE", (_simple("r", Y_AXIS),)),
-    ]
-
-
-def _ellipse_zones(shape: Shape) -> List[Zone]:
-    i = shape.index
-    return [
-        Zone(i, "INTERIOR", (_simple("cx", X_AXIS), _simple("cy", Y_AXIS))),
-        Zone(i, "RIGHTEDGE", (_simple("rx", X_AXIS),)),
-        Zone(i, "BOTEDGE", (_simple("ry", Y_AXIS),)),
-    ]
+_FILL = (_simple("fill", X_AXIS),)
 
 
 def _poly_zones(shape: Shape, closed: bool) -> List[Zone]:
+    """POINTi, EDGEi and INTERIOR zones; each point's two features are
+    built once and shared by the zones that move it."""
     i = shape.index
-    points = shape.points()
+    points = [
+        (Feature(AttrRef(f"points[{index}].x", ("points", index, 0)),
+                 X_AXIS, 1),
+         Feature(AttrRef(f"points[{index}].y", ("points", index, 1)),
+                 Y_AXIS, 1))
+        for index in range(len(shape.points()))]
     count = len(points)
-    zones: List[Zone] = []
-    for index in range(count):
-        zones.append(Zone(i, f"POINT{index}",
-                          (_point_feature(index, 0, X_AXIS),
-                           _point_feature(index, 1, Y_AXIS))))
+    zones = [Zone(i, f"POINT{index}", point)
+             for index, point in enumerate(points)]
     edge_count = count if closed else count - 1
-    for index in range(edge_count):
-        next_index = (index + 1) % count
-        zones.append(Zone(i, f"EDGE{index}",
-                          (_point_feature(index, 0, X_AXIS),
-                           _point_feature(index, 1, Y_AXIS),
-                           _point_feature(next_index, 0, X_AXIS),
-                           _point_feature(next_index, 1, Y_AXIS))))
-    interior = []
-    for index in range(count):
-        interior.append(_point_feature(index, 0, X_AXIS))
-        interior.append(_point_feature(index, 1, Y_AXIS))
-    zones.append(Zone(i, "INTERIOR", tuple(interior)))
+    zones.extend(Zone(i, f"EDGE{index}",
+                      points[index] + points[(index + 1) % count])
+                 for index in range(edge_count))
+    zones.append(Zone(i, "INTERIOR",
+                      tuple(feature for point in points for feature in point)))
     return zones
 
 
 def _path_zones(shape: Shape) -> List[Zone]:
     i = shape.index
-    axes = shape.path_coordinate_axes()
+    features = [Feature(AttrRef(f"d[{index}]", ("d", index)),
+                        X_AXIS if axis == 0 else Y_AXIS, 1)
+                for index, axis in enumerate(shape.path_coordinate_axes())]
     zones: List[Zone] = []
     # Group consecutive (x, y) coordinate pairs into POINT zones; stray
     # single coordinates (H/V commands) get their own single-axis zones.
-    point_index = 0
     number_index = 0
-    while number_index < len(axes):
-        if (number_index + 1 < len(axes) and axes[number_index] == 0
-                and axes[number_index + 1] == 1):
-            zones.append(Zone(i, f"POINT{point_index}", (
-                Feature(AttrRef(f"d[{number_index}]",
-                                ("d", number_index)), X_AXIS, 1),
-                Feature(AttrRef(f"d[{number_index + 1}]",
-                                ("d", number_index + 1)), Y_AXIS, 1),
-            )))
-            number_index += 2
-        else:
-            axis = X_AXIS if axes[number_index] == 0 else Y_AXIS
-            zones.append(Zone(i, f"POINT{point_index}", (
-                Feature(AttrRef(f"d[{number_index}]",
-                                ("d", number_index)), axis, 1),
-            )))
-            number_index += 1
-        point_index += 1
-    interior = tuple(
-        Feature(AttrRef(f"d[{index}]", ("d", index)),
-                X_AXIS if axis == 0 else Y_AXIS, 1)
-        for index, axis in enumerate(axes))
-    if interior:
-        zones.append(Zone(i, "INTERIOR", interior))
+    while number_index < len(features):
+        pair = features[number_index:number_index + 2]
+        if len(pair) < 2 or pair[0].axis != X_AXIS or pair[1].axis != Y_AXIS:
+            pair = pair[:1]
+        zones.append(Zone(i, f"POINT{len(zones)}", tuple(pair)))
+        number_index += len(pair)
+    if features:
+        zones.append(Zone(i, "INTERIOR", tuple(features)))
     return zones
-
-
-def _text_zones(shape: Shape) -> List[Zone]:
-    return [Zone(shape.index, "INTERIOR",
-                 (_simple("x", X_AXIS), _simple("y", Y_AXIS)))]
 
 
 def _rotation_zones(shape: Shape) -> List[Zone]:
     """A built-in ROTATION zone per 'rotate' transform command (§5.2.2
     mentions "separate built-in rotation zones in our implementation").
     Horizontal dragging varies the angle."""
-    from ..lang.values import VNum, VStr, is_list, to_pylist
     value = shape.node.attr("transform")
     if value is None or not is_list(value):
         return []
@@ -185,11 +143,8 @@ def _fill_color_zone(shape: Shape) -> List[Zone]:
     """A FILL zone when the fill is a *color number* (Appendix C): "our
     editor displays a slider right next to the object that allows direct
     manipulation control over the 'fill' attribute"."""
-    from ..lang.values import VNum
-    value = shape.node.attr("fill")
-    if isinstance(value, VNum):
-        return [Zone(shape.index, "FILL",
-                     (Feature(AttrRef("fill", ("fill",)), X_AXIS, 1),))]
+    if isinstance(shape.node.attr("fill"), VNum):
+        return [Zone(shape.index, "FILL", _FILL)]
     return []
 
 
@@ -199,29 +154,17 @@ def zones_for_shape(shape: Shape) -> List[Zone]:
 
     A shape carrying the non-standard ``['ZONES' 'none']`` attribute opts
     out of direct manipulation entirely (Appendix A)."""
-    from ..lang.values import VStr
     zones_attr = shape.node.attr("ZONES")
     if isinstance(zones_attr, VStr) and zones_attr.value == "none":
         return []
     kind = shape.kind
-    if kind == "rect":
-        zones = _rect_zones(shape)
-    elif kind == "line":
-        zones = _line_zones(shape)
-    elif kind == "circle":
-        zones = _circle_zones(shape)
-    elif kind == "ellipse":
-        zones = _ellipse_zones(shape)
-    elif kind == "polygon":
-        zones = _poly_zones(shape, closed=True)
-    elif kind == "polyline":
-        zones = _poly_zones(shape, closed=False)
+    if kind in ("polygon", "polyline"):
+        zones = _poly_zones(shape, closed=kind == "polygon")
     elif kind == "path":
         zones = _path_zones(shape)
-    elif kind == "text":
-        zones = _text_zones(shape)
     else:
-        zones = []
+        zones = [Zone(shape.index, name, features)
+                 for name, features in FIGURE_5.get(kind, {}).items()]
     zones.extend(_rotation_zones(shape))
     zones.extend(_fill_color_zone(shape))
     return zones

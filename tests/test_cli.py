@@ -115,6 +115,16 @@ class TestRun:
         assert len(captured.err.strip().splitlines()) == 1
 
 
+    def test_run_point_without_y_one_line(self, tmp_path, capsys):
+        path = tmp_path / "short.little"
+        path.write_text("(svg [['polygon' [['points' [[1]]]] []]])",
+                        encoding="utf-8")
+        assert main(["run", str(path), "--heuristic", "fair"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == \
+            f"repro run: {path}: point 0 of shape 0 is not numeric\n"
+
+
 class TestCheck:
     def test_check_ok_prints_one_line(self, little_file, capsys):
         assert main(["check", str(little_file)]) == 0

@@ -8,6 +8,7 @@ from repro.core.run import run_source
 from repro.editor import LiveSession
 from repro.examples import example_source
 from repro.lang.program import parse_program
+from repro.svg import AttrRef
 
 SINE = example_source("sine_wave_of_boxes")
 
@@ -84,7 +85,9 @@ class TestCanvasDependencyIndex:
     def test_path_numbers_cached_per_shape(self):
         pipeline = run_source(example_source("color_wheel"))
         shape = next(s for s in pipeline.canvas if s.kind == "path")
-        assert shape.path_numbers() is shape.path_numbers()
+        numbers = shape.numbers()
+        assert numbers is shape.numbers()
+        assert shape.get_num(AttrRef("d[0]", ("d", 0))) is numbers[("d", 0)]
 
 
 class TestStagedPipeline:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.editor import LiveSession
 from repro.examples import example_source, load_example
-from repro.svg import Canvas
+from repro.svg import AttrRef, Canvas
 
 
 def canvas_of(name):
@@ -54,8 +54,8 @@ class TestLogos:
         path's x extremes are equidistant from the axis cx = 200."""
         canvas = canvas_of("botanic_garden_logo")
         leaf = canvas.shapes_of_kind("path")[0]
-        xs = [n.value for n, axis in zip(leaf.path_numbers(),
-                                         leaf.path_coordinate_axes())
+        xs = [leaf.get_num(AttrRef(f"d[{index}]", ("d", index))).value
+              for index, axis in enumerate(leaf.path_coordinate_axes())
               if axis == 0]
         assert max(xs) - 200 == pytest.approx(200 - min(xs))
 

@@ -106,6 +106,13 @@ NESTED_GROUPS = ("(defrec nest (\\(k node) (if (= k 0) node "
                  "(nest (- k 1) ['g' [] [node]])))) "
                  "(svg [(nest 30000 (rect 'red' 1 2 3 4))])")
 
+
+def polygon(count):
+    """A program drawing one polygon of ``count`` points."""
+    points = " ".join(f"[{i % 97} {i // 97}]" for i in range(count))
+    return f"(svg [(polygon 'red' 'black' 1 [{points}])])"
+
+
 #: Run in a fresh interpreter: the JSON list of requests in ``sys.argv[1]``
 #: through one ``ServeApp``, each without a ``session`` sent to the last
 #: session opened; prints each answer's status (``ok`` or the error code)
@@ -333,6 +340,47 @@ class TestSharedAndDeepOutputs:
         statuses, incidents = serve_in_subprocess(
             [{"cmd": "open", "source": NESTED_GROUPS}], repro_env)
         assert statuses == ["program_error"] and incidents == 0
+
+
+class TestLargeShapes:
+    """Prepare, which no evaluation budget meters, reads each number of a
+    shape's attributes once, so its cost is linear in the shape's size."""
+
+    @staticmethod
+    def elements_read(monkeypatch, source):
+        """How many elements ``to_pylist`` returns while a pipeline runs
+        ``source`` (Run and Prepare)."""
+        from repro.lang import values
+        original = values.to_pylist
+        counted = [0]
+
+        def counting(value):
+            items = original(value)
+            counted[0] += len(items)
+            return items
+
+        pipeline = SyncPipeline(parse_program(source))
+        with monkeypatch.context() as patch:
+            for module in list(sys.modules.values()):
+                if getattr(module, "__name__", "").startswith("repro.") \
+                        and getattr(module, "to_pylist", None) is original:
+                    patch.setattr(module, "to_pylist", counting)
+            pipeline.run()
+        return counted[0]
+
+    def test_prepare_is_linear_in_polygon_points(self, monkeypatch):
+        small = self.elements_read(monkeypatch, polygon(500))
+        large = self.elements_read(monkeypatch, polygon(1000))
+        assert large <= 2 * small and large <= 10 * 1000, (small, large)
+
+    def test_large_polygon_serves(self, repro_env):
+        statuses, incidents = serve_in_subprocess([
+            {"cmd": "open", "source": polygon(4000)},
+            {"cmd": "drag", "shape": 0, "zone": "INTERIOR",
+             "steps": [[10, 7]]},
+            {"cmd": "release"},
+        ], repro_env)
+        assert statuses == ["ok"] * 3 and incidents == 0
 
 
 class TestPipelineBudget:

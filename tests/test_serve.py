@@ -39,6 +39,48 @@ DEAD_SQRT = ("(def x 30) (def dead (sqrt (- x 20))) "
              "(svg [(rect 'red' x 20 30 40)])")
 
 
+#: Run in a fresh interpreter: open each example in ``sys.argv[2:]`` with
+#: the Prelude unfrozen, drag the last one's shape 0 and persist every
+#: session to the state dir ``sys.argv[1]``; prints the dragged session's
+#: id, the Prelude literals the drag rewrote and its SVG.
+PERSIST_UNFROZEN = """
+import json, sys
+from repro.serve import ServeApp, SessionManager
+from repro.serve.persist import StatePersister
+
+manager = SessionManager()
+persister = StatePersister(sys.argv[1], manager.persist_payload)
+manager.attach_persister(persister)
+app = ServeApp(manager=manager)
+for name in sys.argv[2:]:
+    sid = app.handle({"cmd": "open", "example": name,
+                      "prelude_frozen": False})["session"]
+app.handle({"cmd": "drag", "session": sid, "shape": 0, "zone": "INTERIOR",
+            "steps": [[10, 7]]})
+app.handle({"cmd": "release", "session": sid})
+svg = app.handle({"cmd": "render", "session": sid})["svg"]
+prelude = manager.persist_payload(sid)["snapshot"]["current"]["prelude"]
+manager.flush_state()
+persister.stop(flush=True)
+print(json.dumps([sid, prelude, svg]))
+"""
+
+#: Run in a fresh interpreter: boot on the state dir ``sys.argv[1]``, open
+#: the example ``sys.argv[2]`` with the Prelude unfrozen, then print the
+#: answer to rendering session ``sys.argv[3]``.
+RESTORE_UNFROZEN = """
+import json, sys
+from repro.serve import ServeApp, SessionManager
+from repro.serve.persist import load_state
+
+manager = SessionManager()
+manager.load_state(load_state(sys.argv[1])[0])
+app = ServeApp(manager=manager)
+app.handle({"cmd": "open", "example": sys.argv[2], "prelude_frozen": False})
+print(json.dumps(app.handle({"cmd": "render", "session": sys.argv[3]})))
+"""
+
+
 def open_session(app, **fields):
     response = app.handle({"cmd": "open", **fields})
     assert response["ok"], response
@@ -433,6 +475,25 @@ class TestEvictionRehydration:
             payloads, corrupt = load_state(str(tmp_path))
             assert (len(payloads), corrupt) == \
                 ((1, 0) if payload is good else (0, 1)), payload
+
+    def test_prelude_overlays_restore_in_another_process(self, tmp_path,
+                                                         repro_env):
+        """A drag that rewrote a Prelude literal restores in a process
+        that parsed other programs first: Prelude idents do not depend
+        on what a process parsed before."""
+        def run(script, *args):
+            result = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path), *args],
+                capture_output=True, text=True, env=repro_env, timeout=120)
+            assert result.returncode == 0, result.stderr
+            return json.loads(result.stdout)
+
+        sid, prelude, svg = run(PERSIST_UNFROZEN, "sine_wave_of_boxes",
+                                "wave_boxes_grid")
+        assert prelude
+        rendered = run(RESTORE_UNFROZEN, "three_boxes", sid)
+        assert rendered["ok"], rendered
+        assert rendered["svg"] == svg
 
     def test_close_forgets_live_and_snapshotted(self):
         manager = SessionManager(max_sessions=1)

@@ -473,3 +473,12 @@ class TestFaultPlumbing:
             assert response["error"]["code"] == "internal_error"
             incidents.add(response["error"]["incident"])
         assert len(incidents) == 3
+
+    def test_incident_without_a_session_is_counted(self):
+        app = ServeApp(faults=FaultPlan({"dispatch.open": 1.0}, seed=SEED))
+        opened = app.handle({"cmd": "open",
+                             "source": TEMPLATE.format(v=10)})
+        assert opened["error"]["code"] == "internal_error"
+        assert opened["error"]["incident"] == "inc1"
+        stats = app.handle({"cmd": "stats"})["stats"]
+        assert stats["incidents"] == 1 and stats["healed"] == 0

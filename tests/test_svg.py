@@ -174,6 +174,16 @@ class TestCanvas:
         ref = AttrRef("d[2]", ("d", 2))
         assert canvas[0].get_num(ref).value == 30.0
 
+    def test_get_num_reads_the_last_binding(self):
+        canvas = canvas_of("(svg [['rect' [['x' 1] ['y' 2] ['width' 3] "
+                           "['height' 4] ['x' 5]] []]])")
+        shape = canvas[0]
+        assert shape.get_num(AttrRef("x", ("x",))).value == 5.0
+        # The overridden binding of x is not among the shape's numbers.
+        assert [number.value for number in shape.numbers().values()] == \
+            [5.0, 2.0, 3.0, 4.0]
+        assert len(shape.attr_traces()) == 4
+
     def test_path_coordinate_axes(self):
         canvas = canvas_of(
             "(svg [(path 'f' 's' 1 ['M' 1 2 'H' 3 'V' 4 'L' 5 6])])")
