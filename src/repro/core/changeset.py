@@ -2,9 +2,9 @@
 
 Every program edit in the live-sync loop (§4.1) is a substitution ρ over
 numeric literals.  A :class:`ChangeSet` records *which* locations a step
-actually rewrote, so downstream stages of the pipeline can answer "which
-shapes could this change affect?" — the Trigger stage tests ``locs``
-against each shape's dependency set — instead of recomputing from scratch.
+actually rewrote, so the pipeline can tell a value-only step — the Run
+stage replays the recorded evaluation, or skips it when nothing changed,
+and Assign keeps its assignments — from one it must recompute from scratch.
 
 The contract:
 

@@ -15,9 +15,9 @@ and the benchmark harness.  It models the loop as four stages:
 4. **Sliders** — built-in sliders for range-annotated literals
    (:meth:`slider_stage`).
 
-Every stage takes a :class:`~repro.core.changeset.ChangeSet` describing how
-the current program differs from the one the stage last ran against, and
-caches accordingly:
+The Run and Assign stages take a :class:`~repro.core.changeset.ChangeSet`
+describing how the current program differs from the one they last ran
+against, and cache accordingly; Trigger and Sliders read the current state:
 
 * **Run** replays the recorded evaluation guards
   (:mod:`repro.lang.incremental`) and rebuilds only changed canvas nodes;
@@ -27,9 +27,10 @@ caches accordingly:
   only after every recorded guard held, and both replay tiers and the
   incremental canvas rebuild keep every trace object, so the stage keeps
   its assignments and computes them afresh only on a structural change.
-* **Trigger** rebuilds each trigger whose shape's dependency set
-  (:meth:`~repro.svg.canvas.Shape.dep_locs`) meets the change set and
-  rebinds (shares the pre-read features of) the rest.
+* **Trigger** builds every trigger afresh from the current canvas: a
+  drag's canvas rebuild keeps the :class:`~repro.svg.canvas.Shape` of
+  every shape it did not move, so a trigger on such a shape reads its
+  features from a number table already built.
 * **Sliders** re-reads the range annotations on every Prepare; the scan is
   a few microseconds.
 
@@ -220,8 +221,7 @@ class SyncPipeline:
 
     def canvas_stage(self, change: Optional[ChangeSet] = None) -> Canvas:
         """Build the canvas for the staged output — incrementally (shared
-        nodes, no re-validation, transplanted indexes) for a
-        non-structural change."""
+        nodes and shapes, no re-validation) for a non-structural change."""
         change = FULL_CHANGE if change is None else change
         output = self._pending_output
         if output is None:
@@ -277,29 +277,15 @@ class SyncPipeline:
 
     # -- stage 3: Trigger --------------------------------------------------------
 
-    def trigger_stage(self, change: Optional[ChangeSet] = None
-                      ) -> Dict[Tuple[int, str], MouseTrigger]:
-        """Compute mouse triggers for every Active zone: a non-structural
-        change rebuilds those whose shape's dependency set meets it and
-        rebinds the rest, whose pre-read features it cannot have moved."""
-        change = FULL_CHANGE if change is None else change
+    def trigger_stage(self) -> Dict[Tuple[int, str], MouseTrigger]:
+        """Compute mouse triggers for every Active zone, afresh from the
+        current canvas, assignments and ρ."""
         canvas, assignments = self.canvas, self.assignments
         if canvas is None or assignments is None:
             raise RuntimeError("trigger_stage before assign_stage")
-        rho = self.program.rho0
-        if change.structural or not self.triggers:
-            self.triggers = compute_triggers(canvas, assignments, rho)
-            return self.triggers
-        changed = frozenset(loc.ident for loc in change.locs)
-        triggers: Dict[Tuple[int, str], MouseTrigger] = {}
-        for key, trigger in self.triggers.items():
-            shape = canvas[key[0]]
-            if changed.isdisjoint(shape.dep_locs()):
-                triggers[key] = trigger.rebind(shape, rho)
-            else:
-                triggers[key] = MouseTrigger(shape, trigger.assignment, rho)
-        self.triggers = triggers
-        return triggers
+        self.triggers = compute_triggers(canvas, assignments,
+                                         self.program.rho0)
+        return self.triggers
 
     # -- stage 4: Sliders --------------------------------------------------------
 
@@ -316,7 +302,7 @@ class SyncPipeline:
         performed "when the program is run initially and after the user
         finishes dragging a zone"."""
         self.assign_stage(change)
-        self.trigger_stage(change)
+        self.trigger_stage()
         self.slider_stage()
 
     def run(self, change: Optional[ChangeSet] = None) -> ChangeSet:

@@ -16,8 +16,9 @@ The session is a thin shell over :class:`~repro.core.pipeline.SyncPipeline`
 benchmarks — adding only interaction state: the drag in flight, the undo
 history (§6.2), and hover/highlight presentation (§5).  Each drag step
 feeds the pipeline the substitution's change set, so the Run stage replays
-recorded guards instead of re-evaluating, and the release's Prepare only
-re-computes what the gesture's accumulated change could have touched.
+recorded guards instead of re-evaluating, and the release's Prepare keeps
+the assignments unless the gesture's accumulated change is structural
+and builds the mouse triggers afresh.
 
 The *programmatic* half of the paper's workflow flows through the same
 machinery: :meth:`LiveSession.edit_source` classifies a text edit with the
@@ -210,8 +211,8 @@ class LiveSession:
     def release(self) -> None:
         """Finish the user action: commit to history and re-prepare
         ("when the user releases the mouse button, we compute new shape
-        assignments and mouse triggers", §4.1) — incrementally, against
-        the gesture's accumulated change set."""
+        assignments and mouse triggers", §4.1), keeping the assignments
+        unless the gesture's accumulated change set is structural."""
         if self._drag_base is None:
             raise EditorError("release without start_drag")
         with self.pipeline.transaction():

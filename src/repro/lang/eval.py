@@ -8,7 +8,6 @@ record data flow only.
 
 from __future__ import annotations
 
-import sys
 import threading
 from typing import Dict, Optional
 
@@ -20,8 +19,6 @@ from .ops import apply_numeric_op
 from .values import (VBool, VClosure, VCons, VNil, VNum, VStr, Value,
                      format_number)
 from ..trace.trace import OpTrace
-
-_MIN_RECURSION_LIMIT = 20000
 
 #: Numeric operators that can raise: ``/``, ``mod``, ``pow``, ``sqrt``,
 #: ``arccos``, ``arcsin``, and ``cos``/``sin``/``floor``/``ceiling``/
@@ -74,8 +71,8 @@ class EvalBudget:
       a coarse per-guard charge on the incremental replay path), the
       wall-clock proxy that stops an infinite tail-recursive loop;
     * ``max_depth`` — non-tail little-level recursion depth, which fires
-      long before Python's own recursion limit would produce an opaque
-      ``RecursionError`` traceback;
+      long before Python's own recursion limit (past which
+      :func:`evaluate` raises a plain :class:`LittleRuntimeError`);
     * ``max_size`` — allocated value cells (cons cells, produced string
       characters), which stops an exponential list build before it stops
       the machine.
@@ -104,8 +101,9 @@ budget: 10000 steps (fuel)
     #: steps), small enough that a runaway program fails within a second.
     DEFAULT_FUEL = 5_000_000
     #: Non-tail recursion depth; must stay comfortably below the Python
-    #: recursion limit the evaluator configures (each little-level frame
-    #: costs a couple of Python frames), so the budget fires first.
+    #: recursion limit the parser sets (:data:`repro.lang.parser.
+    #: RECURSION_LIMIT`; each little-level frame costs a couple of Python
+    #: frames), so the budget fires first.
     DEFAULT_DEPTH = 4_000
     DEFAULT_SIZE = 5_000_000
 
@@ -259,10 +257,15 @@ def match(pattern: Pattern, value: Value) -> Optional[Dict[str, Value]]:
 def evaluate(expr: Expr, env: Optional[Env] = None) -> Value:
     """Evaluate ``expr`` in ``env`` (empty by default), metered by this
     thread's budget (:func:`budget_scope`), which is read once here and
-    passed down."""
-    if sys.getrecursionlimit() < _MIN_RECURSION_LIMIT:
-        sys.setrecursionlimit(_MIN_RECURSION_LIMIT)
-    return _eval(expr, env if env is not None else Env(), _BUDGETS.value)
+    passed down.  Recursion past Python's limit (unbounded non-tail
+    recursion with no depth budget) is a :class:`LittleRuntimeError`."""
+    try:
+        return _eval(expr, env if env is not None else Env(),
+                     _BUDGETS.value)
+    except RecursionError:
+        raise LittleRuntimeError(
+            "program recursed too deeply (Python's recursion limit)") \
+            from None
 
 
 # Interned leaf values: little's nil and booleans are immutable and

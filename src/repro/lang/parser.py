@@ -18,7 +18,8 @@ bound to variables (§2.1: "we choose the canonical name x for the location").
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple
+import sys
+from typing import Callable, List, Optional, Tuple
 
 from .ast import (ALL_OPS, ECase, ECons, ELambda, ELet, ENil, ENum, EOp,
                   EStr, EVar, EApp, EBool, Expr, Loc, OP_ARITY, PBool, PCons,
@@ -44,6 +45,18 @@ class LocAllocator:
 
 DEFAULT_ALLOCATOR = LocAllocator()
 
+#: How deep brackets may nest in a program.  The parser recurses four
+#: Python frames per level, and the evaluator and the unparser a few, so
+#: this keeps them inside :data:`RECURSION_LIMIT`; a deeper program is a
+#: syntax error (like :data:`repro.svg.node.MAX_NESTING` for its output).
+MAX_NESTING = 2000
+
+#: The Python recursion limit the parser, the evaluator and the other
+#: recursive readers of a program need.  Every parser raises the limit to
+#: it before parsing, so whether a program parses and runs does not depend
+#: on what the process ran before.
+RECURSION_LIMIT = 20000
+
 _KEYWORDS = frozenset({"lambda", "let", "letrec", "def", "defrec", "case",
                        "if", "true", "false"})
 
@@ -57,6 +70,9 @@ class Parser:
         self._auto_freeze = auto_freeze
         self._in_prelude = in_prelude
         self._allocator = allocator or DEFAULT_ALLOCATOR
+        self._depth = 0
+        if sys.getrecursionlimit() < RECURSION_LIMIT:
+            sys.setrecursionlimit(RECURSION_LIMIT)
 
     # -- token-stream helpers ------------------------------------------------
 
@@ -89,6 +105,17 @@ class Parser:
             raise LittleSyntaxError(message)
         raise LittleSyntaxError(message, token.line, token.col)
 
+    def _nested(self, token: Token, parse: Callable):
+        """``parse()`` what ``token`` opens, one level deeper; past
+        :data:`MAX_NESTING` levels, a syntax error at ``token``."""
+        if self._depth == MAX_NESTING:
+            self._error(f"brackets nest more than {MAX_NESTING} levels deep",
+                        token)
+        self._depth += 1
+        result = parse()
+        self._depth -= 1
+        return result
+
     # -- expressions ---------------------------------------------------------
 
     def parse_expression(self) -> Expr:
@@ -106,9 +133,9 @@ class Parser:
                 self._error("lambda outside parentheses", token)
             return EVar(token.value)
         if token.kind == "LBRACK":
-            return self._parse_list_literal()
+            return self._nested(token, self._parse_list_literal)
         if token.kind == "LPAREN":
-            return self._parse_form()
+            return self._nested(token, self._parse_form)
         self._error(f"unexpected token {token.value!r}", token)
 
     def _make_number(self, num: NumberToken) -> ENum:
@@ -277,23 +304,26 @@ class Parser:
         if token.kind == "STR":
             return PStr(token.value)
         if token.kind == "LBRACK":
-            elements: List[Pattern] = []
-            tail: Pattern = PNil()
-            while True:
-                inner = self._peek()
-                if inner is None:
-                    self._error("unterminated list pattern")
-                if inner.kind == "RBRACK":
-                    self._next()
-                    break
-                if inner.kind == "BAR":
-                    self._next()
-                    tail = self.parse_pattern()
-                    self._expect("RBRACK")
-                    break
-                elements.append(self.parse_pattern())
-            return plist(elements, tail)
+            return self._nested(token, self._parse_list_pattern)
         self._error(f"unexpected token in pattern: {token.value!r}", token)
+
+    def _parse_list_pattern(self) -> Pattern:
+        elements: List[Pattern] = []
+        tail: Pattern = PNil()
+        while True:
+            inner = self._peek()
+            if inner is None:
+                self._error("unterminated list pattern")
+            if inner.kind == "RBRACK":
+                self._next()
+                break
+            if inner.kind == "BAR":
+                self._next()
+                tail = self.parse_pattern()
+                self._expect("RBRACK")
+                break
+            elements.append(self.parse_pattern())
+        return plist(elements, tail)
 
     # -- definition sequences --------------------------------------------------
 

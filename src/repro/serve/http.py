@@ -104,7 +104,10 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             request = json.loads(self.rfile.read(length))
-        except (json.JSONDecodeError, UnicodeDecodeError):
+        except (ValueError, RecursionError):
+            # ValueError covers JSONDecodeError, UnicodeDecodeError and an
+            # integer past CPython's digit limit; deep nesting exhausts
+            # the decoder's recursion.
             self._send_error(400, "bad_json", "request body is not JSON")
             return
         response = self.server.app.handle(request)

@@ -13,7 +13,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..lang.errors import SvgError
 from ..lang.values import VNum, Value, is_list, to_pylist
-from ..trace.trace import all_locs
 from .attrs import PATH_COMMANDS, path_command_groups
 from .node import SvgNode, parse_canvas, rebuild_node
 
@@ -45,7 +44,6 @@ class Shape:
         self.node = node
         self.kind = node.kind
         self._numbers: Optional[Dict[Tuple, VNum]] = None
-        self._dep_locs: Optional[frozenset] = None
 
     def __repr__(self) -> str:
         return f"Shape({self.index}, {self.kind!r})"
@@ -103,19 +101,9 @@ class Shape:
             pairs.append((x, y))
         return pairs
 
-    # -- loc dependencies (what the incremental Trigger stage tests) ------------
-
     def attr_traces(self) -> List:
         """Traces of every numeric value in this shape's attributes."""
         return [number.trace for number in self.numbers().values()]
-
-    def dep_locs(self) -> frozenset:
-        """``Loc.ident`` of every location (frozen or not) appearing in any
-        attribute trace — "which changes could affect this shape?"."""
-        if self._dep_locs is None:
-            self._dep_locs = frozenset(
-                loc.ident for loc in all_locs(*self.attr_traces()))
-        return self._dep_locs
 
     def path_coordinate_axes(self) -> List[int]:
         """For each ``('d', i)`` number, whether it is an x (0) or a y (1)
@@ -147,36 +135,17 @@ class Canvas:
     def rebuilt(cls, canvas: "Canvas", old_value: Value,
                 new_value: Value) -> "Canvas":
         """Incremental rebuild for a *structurally identical* new output
-        (see :func:`~repro.svg.node.rebuild_node`).  Traces are preserved,
-        so every shape's dependency set (:meth:`Shape.dep_locs`) carries
-        over unchanged.
+        (see :func:`~repro.svg.node.rebuild_node`).
 
-        The flatten order only depends on node kinds, which the rebuild
-        preserves, so shapes are paired with their predecessors by
-        position: an untouched node keeps its old :class:`Shape` (and
-        thereby its lazy caches — both are pure functions of the node), a
-        rebuilt one gets a fresh wrapper with the dependency set
-        transplanted."""
-        new_root = rebuild_node(canvas.root, old_value, new_value)
-        new_canvas = cls.__new__(cls)
-        new_canvas.root = new_root
-        new_canvas.shapes = shapes = []
-        old_shapes = canvas.shapes
-
-        def walk(node: SvgNode) -> None:
-            for child in node.children:
-                if child.kind in ("svg", "g"):
-                    walk(child)
-                else:
-                    old_shape = old_shapes[len(shapes)]
-                    if child is old_shape.node:
-                        shapes.append(old_shape)
-                    else:
-                        shape = Shape(len(shapes), child)
-                        shape._dep_locs = old_shape._dep_locs
-                        shapes.append(shape)
-
-        walk(new_root)
+        The flatten order depends only on node kinds, which the rebuild
+        preserves, so shapes pair with their predecessors by position: a
+        shape whose node the rebuild shared keeps its old :class:`Shape`,
+        and with it its number table (a pure function of the node)."""
+        new_canvas = cls(rebuild_node(canvas.root, old_value, new_value))
+        shapes = new_canvas.shapes
+        for index, old_shape in enumerate(canvas.shapes):
+            if shapes[index].node is old_shape.node:
+                shapes[index] = old_shape
         return new_canvas
 
     def _flatten(self, node: SvgNode) -> None:

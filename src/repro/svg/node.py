@@ -59,7 +59,7 @@ class SvgNode:
 
 #: How deep SVG nodes may nest in a program's output.  Converting,
 #: flattening, rebuilding and rendering the canvas recurse once or twice per
-#: level, so this keeps them well inside the recursion limit the evaluator
+#: level, so this keeps them well inside the recursion limit the parser
 #: sets; a deeper output is a program error (the examples nest two levels).
 MAX_NESTING = 2000
 

@@ -290,8 +290,12 @@ def compile_solve_one(rho: Mapping[Loc, float], loc: Loc, trace: Trace):
         else:
             steps = _compile_single_occurrence(loc, order[-1], count, values)
     except SolverFailure as failure:
-        def failing(target: float, _failure=failure) -> float:
-            raise _failure
+        # A fresh exception per call: re-raising one instance would grow
+        # its traceback, and keep every caller's frame alive, call by call.
+        message = str(failure)
+
+        def failing(target: float) -> float:
+            raise SolverFailure(message)
         return failing
 
     def solve(target: float) -> float:

@@ -8,10 +8,10 @@ record *data flow but not control flow* (§2.1, "Dataflow-Only Traces").
 
 A value the program reuses shares its trace, so a trace is a DAG: its full
 expansion can be exponentially larger than its distinct nodes, and a loop
-makes it as deep as its step count.  Every reader here visits each distinct
-node once and never recurses — through :func:`postorder`, or the seen-set
-walk of the set queries — except :func:`trace_key` and
-:func:`format_trace`, whose results are the expansion itself.
+makes it as deep as its step count.  No reader here recurses, and every one
+visits each distinct node once — through :func:`postorder`, or the seen-set
+walk of the set queries — except :func:`format_trace`, whose result is the
+expansion itself.
 """
 
 from __future__ import annotations
@@ -148,18 +148,42 @@ def trace_size(trace: Trace) -> int:
     return operations + sum(counts.values())
 
 
-def trace_key(trace: Trace):
+def trace_key(trace: Trace) -> Tuple:
     """A hashable structural key, used to deduplicate pre-equations (§5.2.2:
-    "we filter out tuples that are identical modulo v and ζ")."""
-    if isinstance(trace, Loc):
-        return ("loc", trace.ident)
-    return (trace.op,) + tuple(trace_key(arg) for arg in trace.args)
+    "we filter out tuples that are identical modulo v and ζ").
+
+    Two keys are equal exactly when the fully expanded traces are.  A key
+    lists each distinct subtree structure once, in the order the expanded
+    postorder first meets it, ending with the root's: a location as
+    ``("loc", ident)``, an operation as its name followed by the positions
+    of its arguments' entries."""
+    positions: Dict[Tuple, int] = {}        # entry -> position, in order
+    position_of: Dict[int, int] = {}        # node id -> its entry's
+    for node in postorder((trace,)):
+        if type(node) is Loc:
+            entry = ("loc", node.ident)
+        else:
+            entry = (node.op,) + tuple(position_of[id(arg)]
+                                       for arg in node.args)
+        position_of[id(node)] = positions.setdefault(entry, len(positions))
+    return tuple(positions)
 
 
 def format_trace(trace: Trace) -> str:
     """Render a trace in the paper's prefix notation, e.g.
-    ``(+ x0 (* i sep))``."""
-    if isinstance(trace, Loc):
-        return trace.display()
-    inner = " ".join(format_trace(arg) for arg in trace.args)
-    return f"({trace.op} {inner})" if inner else f"({trace.op})"
+    ``(+ x0 (* i sep))``: the expansion, written without recursion."""
+    parts: List[str] = []
+    stack: List = [trace]
+    while stack:
+        node = stack.pop()
+        if type(node) is str:
+            parts.append(node)
+        elif isinstance(node, Loc):
+            parts.append(node.display())
+        else:
+            parts.append(f"({node.op}")
+            stack.append(")")
+            for arg in reversed(node.args):
+                stack.append(arg)
+                stack.append(" ")
+    return "".join(parts)

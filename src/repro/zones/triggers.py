@@ -81,23 +81,6 @@ class MouseTrigger:
         # lifetime, only the target moves with the mouse.
         self._solvers = None
 
-    def rebind(self, shape: Shape, rho: Mapping[Loc, float]
-               ) -> "MouseTrigger":
-        """A trigger for the same zone on a value-identical shape.
-
-        Used by the incremental Prepare for shapes whose dependency set
-        does not intersect the change set: their attribute values and
-        traces are unchanged, so the pre-read feature tuples are shared
-        and only ρ (which a substitution always replaces) is rebound.
-        """
-        trigger = MouseTrigger.__new__(MouseTrigger)
-        trigger.shape = shape
-        trigger.assignment = self.assignment
-        trigger.rho = rho
-        trigger._features = self._features
-        trigger._solvers = None         # closures are specialized per ρ
-        return trigger
-
     def __call__(self, dx: float, dy: float) -> TriggerResult:
         solvers = self._solvers
         if solvers is None:

@@ -1,5 +1,6 @@
-"""Unit tests for the core staged pipeline: ChangeSet recording, per-shape
-dependency sets, per-stage caching and the escalation discipline."""
+"""Unit tests for the core staged pipeline: ChangeSet recording, the
+incremental canvas rebuild, per-stage caching and the escalation
+discipline."""
 
 import pytest
 
@@ -14,13 +15,9 @@ SINE = example_source("sine_wave_of_boxes")
 
 THREE_BOXES = example_source("three_boxes")
 
-
-def affected_shapes(canvas, locs):
-    """Indices of the shapes whose dependency set meets ``locs`` — the
-    per-shape test the Trigger stage applies to a value-only change."""
-    idents = frozenset(loc.ident for loc in locs)
-    return {shape.index for shape in canvas
-            if not idents.isdisjoint(shape.dep_locs())}
+TWO_RECTS_AND_A_GROUP = """(def red_x 10) (def blue_x 200)
+(svg [(rect 'red' red_x 20 30 40)
+      ['g' [] [(rect 'blue' blue_x 60 30 40) (circle 'green' 50 150 9)]]])"""
 
 
 class TestChangeSet:
@@ -58,28 +55,22 @@ class TestProgramChangeRecording:
 
 
 class TestCanvasDependencyIndex:
-    def test_shared_loc_reaches_every_shape(self):
-        pipeline = run_source(SINE)
-        program = pipeline.program
-        x0 = next(loc for loc in program.user_locs()
-                  if loc.display() == "x0")
-        # x0 positions every box.
-        assert all(x0.ident in shape.dep_locs()
-                   for shape in pipeline.canvas)
-        assert affected_shapes(pipeline.canvas, [x0]) \
-            == set(range(len(pipeline.canvas)))
-
-    def test_rebuilt_canvas_transplants_index(self):
-        session = LiveSession(SINE)
+    def test_rebuilt_canvas_keeps_unmoved_shapes(self):
+        session = LiveSession(TWO_RECTS_AND_A_GROUP)
         shapes = list(session.canvas)
-        deps = [shape.dep_locs() for shape in shapes]
+        tables = [shape.numbers() for shape in shapes]
         session.start_drag(0, "INTERIOR")
         session.drag(3.0, 4.0)
-        # The drag rebuilt shapes, and each kept its dependency set object.
-        assert any(new is not old
-                   for new, old in zip(session.canvas, shapes))
-        assert all(shape.dep_locs() is dep
-                   for shape, dep in zip(session.canvas, deps))
+        canvas = session.canvas
+        assert [shape.index for shape in canvas] == [0, 1, 2]
+        # The drag moved the red rect only: it is wrapped afresh …
+        assert canvas[0] is not shapes[0]
+        assert canvas[0].simple_num("x").value == 13.0
+        # … and the blue rect and the grouped circle keep their shapes,
+        # number tables included.
+        for index in (1, 2):
+            assert canvas[index] is shapes[index]
+            assert canvas[index].numbers() is tables[index]
         session.release()
 
     def test_path_numbers_cached_per_shape(self):
@@ -100,41 +91,22 @@ class TestStagedPipeline:
         # Value-only gesture: the assignment object survives wholesale.
         assert session.assignments is assignments
 
-    def test_unaffected_shapes_share_trigger_features(self):
-        session = LiveSession(example_source("ferris_wheel"))
+    def test_release_rebuilds_every_trigger(self):
+        session = LiveSession(TWO_RECTS_AND_A_GROUP)
         before = dict(session.triggers)
-        # Pick a zone whose substitution leaves some shape untouched
-        # (triggers are pure, so probing them commits nothing).
-        base_rho = session.program.rho0
-        chosen_key = None
-        for key, trigger in sorted(before.items()):
-            bindings = trigger(5.0, 3.0).bindings
-            changed = [loc for loc, value in bindings.items()
-                       if base_rho[loc] != value]
-            affected = affected_shapes(session.canvas, changed)
-            if changed and len(affected) < len(session.canvas):
-                chosen_key = key
-                break
-        assert chosen_key is not None, \
-            "expected a zone with an unaffected shape"
-        session.start_drag(*chosen_key)
-        result = session.drag(5.0, 3.0)
+        session.start_drag(0, "INTERIOR")
+        session.drag(5.0, 3.0)
         session.release()
-        affected = affected_shapes(session.canvas, [
-            loc for loc, value in result.bindings.items()
-            if base_rho[loc] != value])
-        shared = [key for key in before if key[0] not in affected]
-        assert shared, "expected some shape untouched by the radius drag"
-        for key in shared:
-            # Rebound, not rebuilt: the pre-read features are shared …
-            assert session.triggers[key]._features is before[key]._features
-        for key in before:
-            if key[0] in affected:
-                assert session.triggers[key]._features \
-                    is not before[key]._features
-        # … and every trigger's ρ is the committed program's substitution.
-        for trigger in session.triggers.values():
+        assert set(session.triggers) == set(before)
+        for key, trigger in session.triggers.items():
+            # Built afresh under the committed program's substitution, on
+            # the current canvas's shape …
+            assert trigger is not before[key]
             assert trigger.rho is session.program.rho0
+            assert trigger.shape is session.canvas[key[0]]
+            # … reading the same features where the drag moved nothing.
+            if key[0] != 0:
+                assert trigger._features == before[key]._features
 
     def test_guard_flip_escalates_to_full_run(self):
         # Moving sine's n slider changes the box count: the recorded

@@ -107,6 +107,20 @@ NESTED_GROUPS = ("(defrec nest (\\(k node) (if (= k 0) node "
                  "(svg [(nest 30000 (rect 'red' 1 2 3 4))])")
 
 
+def nested_additions(levels):
+    """A program whose brackets nest ``levels`` deep: ``x`` is ``levels``
+    nested additions (the ``def`` form itself does not nest)."""
+    return ("(def x " + "(+ 1 " * levels + "1" + ")" * levels + ")\n"
+            "(svg [(rect 'red' x 0 5 5)])\n")
+
+
+#: Non-tail recursion with no base case.  With no evaluation budget (the
+#: default of ``repro run``, ``check`` and ``serve``), only Python's
+#: recursion limit stops it.
+UNBOUNDED = ("(defrec f (\\n (+ 1 (f (+ n 1)))))\n"
+             "(svg [(rect 'red' (f 0) 0 5 5)])\n")
+
+
 def polygon(count):
     """A program drawing one polygon of ``count`` points."""
     points = " ".join(f"[{i % 97} {i // 97}]" for i in range(count))
@@ -114,14 +128,18 @@ def polygon(count):
 
 
 #: Run in a fresh interpreter: the JSON list of requests in ``sys.argv[1]``
-#: through one ``ServeApp``, each without a ``session`` sent to the last
-#: session opened; prints each answer's status (``ok`` or the error code)
-#: and the incident count.
+#: through one ``ServeApp``, configured as ``repro serve`` with no options
+#: configures it (no evaluation budget), each request without a ``session``
+#: sent to the last session opened; prints each answer's status (``ok`` or
+#: the error code) and the incident count.
 SERVE_REQUESTS = """
 import json, sys
+from repro.cli import _eval_budget, build_parser
 from repro.serve import ServeApp
 
-app = ServeApp()
+args = build_parser().parse_args(["serve"])
+app = ServeApp(max_sessions=args.max_sessions, shards=args.shards,
+               eval_budget=_eval_budget(args.eval_budget))
 statuses, session = [], None
 for request in json.loads(sys.argv[1]):
     if request["cmd"] != "open":
@@ -340,6 +358,59 @@ class TestSharedAndDeepOutputs:
         statuses, incidents = serve_in_subprocess(
             [{"cmd": "open", "source": NESTED_GROUPS}], repro_env)
         assert statuses == ["program_error"] and incidents == 0
+
+
+class TestDeepPrograms:
+    """Nesting and recursion deeper than Python's stack allows end in one
+    classified error, in a fresh process as in one that has run programs
+    before: the parser sets the recursion limit before its first parse and
+    bounds bracket nesting, and ``evaluate()`` reports a ``RecursionError``
+    as a runtime error."""
+
+    @staticmethod
+    def check(tmp_path, repro_env, source):
+        path = tmp_path / "deep.little"
+        path.write_text(source, encoding="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "check", str(path)],
+            capture_output=True, text=True, env=repro_env, timeout=120)
+
+    def test_nesting_within_the_bound_checks(self, tmp_path, repro_env):
+        result = self.check(tmp_path, repro_env, nested_additions(1999))
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("source, message", [
+        (nested_additions(2001), "brackets nest more than 2000 levels deep "
+                                 f"(line 1, col {8 + 5 * 2000})"),
+        (UNBOUNDED, "program recursed too deeply"),
+    ])
+    def test_too_deep_ends_in_one_line(self, tmp_path, repro_env, source,
+                                       message):
+        result = self.check(tmp_path, repro_env, source)
+        assert result.returncode == 1
+        assert len(result.stderr.splitlines()) == 1
+        assert message in result.stderr
+
+    def test_serve_classifies_them(self, repro_env):
+        statuses, incidents = serve_in_subprocess([
+            {"cmd": "open", "source": nested_additions(2001)},
+            {"cmd": "open", "source": UNBOUNDED},
+        ], repro_env)
+        assert statuses == ["parse_error", "program_error"]
+        assert incidents == 0
+
+    def test_nesting_within_the_bound_serves(self, repro_env):
+        source = nested_additions(1999)
+        statuses, incidents = serve_in_subprocess([
+            {"cmd": "open", "source": source},
+            {"cmd": "drag", "shape": 0, "zone": "INTERIOR",
+             "steps": [[3, 2]]},
+            {"cmd": "release"},
+            {"cmd": "edit",
+             "source": source.replace("x 0 5 5", "x 7 5 5")},
+            {"cmd": "undo"},
+        ], repro_env)
+        assert statuses == ["ok"] * 5 and incidents == 0
 
 
 class TestLargeShapes:

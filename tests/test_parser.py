@@ -6,7 +6,8 @@ from repro.lang import (ECase, ECons, ELambda, ELet, ENil, ENum, EOp, EStr,
                         EVar, EApp, EBool, PBool, PCons, PNil, PNum, PVar,
                         parse_expr, parse_top_level)
 from repro.lang.errors import LittleSyntaxError
-from repro.lang.parser import collect_rho0, parse_definition_sequence
+from repro.lang.parser import (MAX_NESTING, collect_rho0,
+                               parse_definition_sequence)
 
 
 class TestAtoms:
@@ -191,6 +192,24 @@ class TestTopLevel:
     def test_two_main_expressions_rejected(self):
         with pytest.raises(LittleSyntaxError):
             parse_top_level("1 2")
+
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ("(id ", ")")])
+    def test_nesting_past_the_bound_is_a_syntax_error(self, opening,
+                                                      closing):
+        def nested(levels):
+            return opening * levels + "1" + closing * levels
+
+        parse_top_level("(def id (\\x x)) " + nested(MAX_NESTING))
+        with pytest.raises(LittleSyntaxError,
+                           match=r"nest more than 2000 levels deep"):
+            parse_top_level("(def id (\\x x)) " + nested(MAX_NESTING + 1))
+
+    def test_pattern_nesting_past_the_bound_is_a_syntax_error(self):
+        pattern = "[" * (MAX_NESTING + 1) + "x" + "]" * (MAX_NESTING + 1)
+        column = len("(def ") + MAX_NESTING + 1     # first bracket too deep
+        with pytest.raises(LittleSyntaxError,
+                           match=rf"\(line 1, col {column}\)$"):
+            parse_top_level(f"(def {pattern} 1) x")
 
     def test_definition_sequence(self):
         bindings = parse_definition_sequence("(def a 1) (def b 2)")

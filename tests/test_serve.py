@@ -691,6 +691,15 @@ class TestHttpTransport:
         status, response = self.post(server, {"cmd": "open"})
         assert status == 400 and response["error"]["code"] == "bad_request"
 
+    def test_hostile_json_bodies_answer_bad_json(self, server):
+        # 100 KB of '[' exhausts the decoder's recursion, and a 5,000-digit
+        # number passes CPython's limit on int digits (a ValueError).
+        for raw in ("[" * 100_000, '{"cmd": ' + "1" * 5000 + "}"):
+            status, response = self.post(server, None, raw=raw)
+            assert status == 400 and response["error"]["code"] == "bad_json"
+        status, response = self.post(server, {"cmd": "stats"})
+        assert status == 200 and response["ok"]
+
     def test_health_and_stats_probes(self, server):
         host, port = server.server_address[:2]
         conn = http.client.HTTPConnection(host, port, timeout=10)

@@ -1,6 +1,7 @@
 """Tests for SolveA / SolveB / the combined solver (§5.1, Appendix B.2)."""
 
 import math
+import traceback
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.synthesis import (in_a_fragment, in_b_fragment,
                              in_solver_fragment, solve_addition_only,
                              solve_linear, solve_one,
                              solve_single_occurrence, walk_plus)
+from repro.synthesis.solver import compile_solve_one
 from repro.trace import OpTrace, eval_trace, postorder
 
 
@@ -211,6 +213,19 @@ class TestCombinedSolver:
         # sin(x) = 1 at x = pi/2; plug-back verification accepts it.
         assert solve_one(rho, a, 1.0, OpTrace("sin", (a,))) == \
             pytest.approx(math.pi / 2)
+
+    def test_failing_calls_do_not_grow_the_traceback(self, env):
+        # x occurs twice under *: outside both fragments, so the staged
+        # solver fails on every call.  Re-raising one stored exception
+        # would prepend each call's frames to its traceback and keep them.
+        a, _, _, rho = env
+        solve = compile_solve_one(rho, a, OpTrace("*", (a, a)))
+        lengths = set()
+        for _ in range(5):
+            with pytest.raises(SolverFailure) as failure:
+                solve(9.0)
+            lengths.add(len(traceback.extract_tb(failure.tb)))
+        assert len(lengths) == 1
 
     def test_solve_one_tries_a_then_b(self, env):
         a, b, _, rho = env

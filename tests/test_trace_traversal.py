@@ -1,12 +1,13 @@
 """The trace readers against the walks they replaced.
 
-Every reader in ``repro.trace.trace``, ``Shape.dep_locs`` and the solver
-now visits each distinct node of a trace once, without recursion (one
-postorder, or one seen-set walk for the set queries).  The walks below
-are the earlier definitions, which expand the trace as a tree, several of
-them recursively.  They are kept as reference oracles: on small traces
-with sharing, every query must return the same value (floats bit for
-bit) or raise the same exception type.
+Every reader in ``repro.trace.trace`` and the solver now visits each
+distinct node of a trace once, without recursion (one postorder, or one
+seen-set walk for the set queries); ``format_trace`` writes the expansion
+without recursion.  The walks below are the earlier definitions, which
+expand the trace as a tree, several of them recursively.  They are kept as
+reference oracles: on small traces with sharing, every query must return
+the same value (floats bit for bit) or raise the same exception type, and
+``trace_key`` must tell two traces apart exactly when the old key does.
 """
 
 import math
@@ -16,17 +17,14 @@ from hypothesis import given, settings, strategies as st
 from repro.lang.ast import Loc
 from repro.lang.errors import LittleRuntimeError, SolverFailure
 from repro.lang.ops import apply_numeric_op
-from repro.lang.values import VNum
-from repro.svg.canvas import Shape
-from repro.svg.node import SvgNode
 from repro.synthesis.solver import (_REL_TOL, _ABS_TOL, _apply_inverses,
                                     _invert_binary_left,
                                     _invert_binary_right, _invert_unary,
                                     compile_solve_one,
                                     solve_single_occurrence, walk_plus)
 from repro.trace import (OpTrace, all_locs, count_loc_occurrences,
-                         eval_trace, is_addition_only, locs, occurrences,
-                         postorder, trace_size)
+                         eval_trace, format_trace, is_addition_only, locs,
+                         occurrences, postorder, trace_key, trace_size)
 
 # --------------------------------------------------------------------------
 # The replaced walks (reference oracles)
@@ -113,21 +111,24 @@ def old_eval_trace(trace, rho):
     return apply_numeric_op(trace.op, args)
 
 
-def old_dep_locs(traces):
-    idents = set()
-    seen = set()
-    stack = list(traces)
-    while stack:
-        node = stack.pop()
-        if type(node) is Loc:
-            idents.add(node.ident)
-        else:
-            key = id(node)
-            if key in seen:
-                continue
-            seen.add(key)
-            stack.extend(node.args)
-    return frozenset(idents)
+def old_trace_key(trace):
+    if isinstance(trace, Loc):
+        return ("loc", trace.ident)
+    return (trace.op,) + tuple(old_trace_key(arg) for arg in trace.args)
+
+
+def old_format_trace(trace):
+    if isinstance(trace, Loc):
+        return trace.display()
+    inner = " ".join(old_format_trace(arg) for arg in trace.args)
+    return f"({trace.op} {inner})" if inner else f"({trace.op})"
+
+
+def unshared(trace):
+    """A copy of ``trace`` whose operation nodes are all distinct."""
+    if isinstance(trace, Loc):
+        return trace
+    return OpTrace(trace.op, tuple(unshared(arg) for arg in trace.args))
 
 
 def old_walk_plus(rho, loc, trace):
@@ -263,9 +264,17 @@ class TestSameResultsAsTheOldWalks:
                 assert occurrences(trace, loc) == old_occurrences(trace, loc)
         assert count_loc_occurrences(roots) == \
             old_count_loc_occurrences(roots)
-        node = SvgNode("rect", [(f"a{i}", VNum(0.0, trace))
-                                for i, trace in enumerate(roots)], [])
-        assert Shape(0, node).dep_locs() == old_dep_locs(roots)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shared_traces())
+    def test_keys_and_formatting(self, case):
+        _, roots, _ = case
+        for trace in roots:
+            assert format_trace(trace) == old_format_trace(trace)
+            assert trace_key(unshared(trace)) == trace_key(trace)
+            for other in roots:
+                assert (trace_key(trace) == trace_key(other)) == \
+                    (old_trace_key(trace) == old_trace_key(other))
 
     @settings(max_examples=300, deadline=None)
     @given(shared_traces(), VALUES)
@@ -310,3 +319,6 @@ class TestHostileShapes:
         assert walk_plus(rho, a, postorder([doubled])) == (2.0 ** 60, 0.0)
         assert compile_solve_one(rho, a, doubled)(2.0 ** 61) == 2.0
         assert compile_solve_one(rho, a, deep)(5.0) == 5.0
+        assert len(trace_key(doubled)) == 61
+        assert len(trace_key(deep)) == 30002
+        assert format_trace(deep) == "(* " * 30000 + "a" + " k)" * 30000
