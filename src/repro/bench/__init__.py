@@ -24,12 +24,14 @@ from .report import (PAPER_EQUATION_TOTALS, PAPER_PERF_MS, PAPER_ZONE_TOTALS,
                      format_loc_rows, format_perf_rows, format_perf_table,
                      format_release_latency_table,
                      format_serve_scaling_table,
-                     format_serve_throughput_table, format_zone_rows,
+                     format_serve_throughput_table,
+                     format_specialization_table, format_zone_rows,
                      format_zone_table)
 from .serve_throughput import (SERVE_CONCURRENCY, SERVE_EXAMPLES,
                                SERVE_WORKERS, ServeScalingRow,
                                ServeThroughputRow, measure_serve_scaling,
                                measure_serve_throughput)
+from .specialization import SpecializationRow, measure_specialization
 from .zone_stats import (ZoneStatsRow, ZoneTotals, corpus_zone_stats,
                          zone_stats, zone_totals)
 
@@ -48,6 +50,8 @@ __all__ = [
     "ServeThroughputRow", "ServeScalingRow", "measure_serve_throughput",
     "measure_serve_scaling", "format_serve_throughput_table",
     "format_serve_scaling_table",
+    "SpecializationRow", "measure_specialization",
+    "format_specialization_table",
     "EquationTotals", "PreEquation", "equation_totals",
     "extract_pre_equations",
     "InteractivityTotals", "format_interactivity", "interactivity_stats",

@@ -35,7 +35,6 @@ from ..core.sliders import collect_sliders
 from ..editor.session import LiveSession
 from ..examples.registry import example_source
 from ..lang.ast import substitute
-from ..lang.compile import ensure_compiled
 from ..lang.eval import evaluate
 from ..lang.parser import collect_rho0
 from ..lang.program import Program, parse_program
@@ -172,10 +171,12 @@ def _time_fast(name: str, steps: int) -> float:
 def _time_compiled(name: str, steps: int) -> float:
     session = _start(name)
     offsets = _gesture(steps)
-    # One warmup step pays the one-time specialization (it rides the
-    # shared EvalCache thereafter) so the column measures steady state.
-    session.drag(*offsets[0])
-    assert ensure_compiled(session.pipeline._eval_cache) is not None
+    # One warmup gesture pays the one-time specialization of its plan (it
+    # rides the shared EvalCache thereafter) so the column measures
+    # steady state.
+    for offset in offsets:
+        session.drag(*offset)
+    assert session.pipeline._eval_cache.plan_for(session.program.rho0)
     rate = chunked_rate(session.drag, offsets)
     session.release()
     return rate

@@ -187,6 +187,37 @@ def format_edit_latency_table(rows) -> str:
     return "\n".join(lines)
 
 
+def format_specialization_table(rows) -> str:
+    """What the trace compiler generates and how long it takes, per
+    example: the whole recording against the first Active zone's plan
+    (statements, and ms best of 3), with the corpus totals."""
+    lines = [
+        "Specialization: whole recording vs first-zone plan "
+        "(ms best of 3 on a fresh recording)",
+        f"{'Example':28s}{'whole stmts':>12s}{'whole ms':>10s}"
+        f"{'plan stmts':>12s}{'plan ms':>10s}{'identical':>11s}",
+    ]
+
+    def line(name, whole_statements, whole_ms, plan_statements, plan_ms,
+             identical):
+        lines.append(
+            f"{name:28s}{whole_statements:>12,d}{whole_ms:>10.1f}"
+            f"{plan_statements:>12,d}{plan_ms:>10.1f}"
+            f"{'yes' if identical else 'NO':>11s}")
+
+    for row in rows:
+        line(row.name, row.whole_statements, row.whole_ms,
+             row.plan_statements, row.plan_ms, row.identical)
+    if rows:
+        line(f"corpus ({len(rows)})",
+             sum(row.whole_statements for row in rows),
+             sum(row.whole_ms for row in rows),
+             sum(row.plan_statements for row in rows),
+             sum(row.plan_ms for row in rows),
+             all(row.identical for row in rows))
+    return "\n".join(lines)
+
+
 def format_serve_throughput_table(rows) -> str:
     """Load-generator table for the serve layer: protocol requests/sec at
     1/8/64 concurrent sessions, responses verified byte-identical to a

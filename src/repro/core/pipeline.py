@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from operator import attrgetter
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from ..lang.ast import Loc
 from ..lang.compile import ensure_compiled
@@ -65,7 +65,7 @@ __all__ = ["SyncPipeline"]
 #: Every attribute a stage writes — what :meth:`SyncPipeline.transaction`
 #: saves and restores.
 _STAGE_FIELDS = ("program", "output", "canvas", "assignments", "triggers",
-                 "sliders", "_eval_cache", "_pending_output")
+                 "sliders", "_eval_cache", "_plan", "_pending_output")
 _stage_state = attrgetter(*_STAGE_FIELDS)
 
 
@@ -119,6 +119,9 @@ class SyncPipeline:
         self.triggers: Dict[Tuple[int, str], MouseTrigger] = {}
         self.sliders: Dict[Loc, BuiltinSlider] = {}
         self._eval_cache: Optional[EvalCache] = None
+        #: The compiled plan of ``_eval_cache`` that answered the last
+        #: Run, if one did (so it covers the current program's ρ0).
+        self._plan = None
         self._pending_output = None
 
     @classmethod
@@ -176,12 +179,16 @@ class SyncPipeline:
 
     # -- stage 1: Run ------------------------------------------------------------
 
-    def eval_stage(self, change: Optional[ChangeSet] = None) -> ChangeSet:
+    def eval_stage(self, change: Optional[ChangeSet] = None,
+                   gesture: Optional[FrozenSet[Loc]] = None) -> ChangeSet:
         """Evaluate the program, incrementally when the change allows.
 
         Returns the *effective* change set: the input one when the guarded
         replay succeeded, ``FULL_CHANGE`` when a full (re-)evaluation was
         needed.  The output is staged for :meth:`canvas_stage`.
+        ``gesture``, on a drag step, holds the locations the dragged
+        zone's trigger rewrites: the step specializes only the plan for
+        them (:func:`~repro.lang.compile.ensure_compiled`).
         """
         change = FULL_CHANGE if change is None else change
         # One budget scope per Run: a guarded replay that flips into a
@@ -193,24 +200,41 @@ class SyncPipeline:
                 if not change.locs:
                     self._pending_output = self.output
                     return change
-                # Replay through the recording's artifact if it has one,
-                # else through the interpreter, and specialize only once
-                # that interpreted replay held: a recording that flips
-                # before ever holding is never compiled.  Either verdict
-                # is final — a ``None`` escalates straight to the full
-                # re-evaluation below, so the budget is never charged
+                # Replay through the recording's plan if it covers this
+                # step, else through the interpreter, and specialize only
+                # once that interpreted replay held: a recording that
+                # flips before ever holding is never compiled.  Either
+                # verdict is final — a ``None`` escalates straight to the
+                # full re-evaluation below, so the budget is never charged
                 # twice for one step.
                 cache = self._eval_cache
-                artifact = cache.compiled if self.compiled else None
-                if artifact is not None:
-                    output = artifact.replay(self.program.rho0)
+                rho = self.program.rho0
+                plan = None
+                if self.compiled:
+                    # The change bounds how this step's ρ differs from the
+                    # last one's, bit for bit, so the plan that answered
+                    # the last step covers this one if it covers the
+                    # change; only otherwise is ρ compared with the
+                    # recording's.
+                    plan = self._plan
+                    if plan is None or not plan.covers(change.locs):
+                        plan = cache.plan_for(rho)
+                if plan is not None:
+                    output = plan.replay(rho)
                 else:
-                    output = reevaluate(cache, self.program.rho0)
+                    output = reevaluate(cache, rho)
                     if output is not None and self.compiled:
-                        ensure_compiled(cache, self.specialize_probe)
+                        # A gesture's plan covers this step's ρ too, so
+                        # the next step may reuse it as the last plan.
+                        plan = ensure_compiled(
+                            cache, self.specialize_probe,
+                            None if gesture is None
+                            else cache.moved(rho) | gesture)
                 if output is not None:
+                    self._plan = plan
                     self._pending_output = output
                     return change
+            self._plan = None
             if self.record:
                 output, self._eval_cache = record_evaluation(self.program)
             else:
@@ -234,9 +258,11 @@ class SyncPipeline:
         self.output = output
         return self.canvas
 
-    def run_stage(self, change: Optional[ChangeSet] = None) -> ChangeSet:
-        """The Run stage: evaluate + build the canvas."""
-        effective = self.eval_stage(change)
+    def run_stage(self, change: Optional[ChangeSet] = None,
+                  gesture: Optional[FrozenSet[Loc]] = None) -> ChangeSet:
+        """The Run stage: evaluate + build the canvas (``gesture`` as for
+        :meth:`eval_stage`)."""
+        effective = self.eval_stage(change, gesture)
         self.canvas_stage(effective)
         return effective
 
@@ -249,6 +275,7 @@ class SyncPipeline:
         the recording per pipeline, so sharing is read-only.
         """
         self._eval_cache = eval_cache
+        self._plan = None
         self._pending_output = eval_cache.output
         self.canvas_stage(FULL_CHANGE)
         return FULL_CHANGE

@@ -30,7 +30,7 @@ cheap as dragging it on the canvas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.changeset import EMPTY_CHANGE, FULL_CHANGE, ChangeSet
 from ..core.pipeline import SyncPipeline
@@ -96,6 +96,8 @@ class LiveSession:
         self.history: List[Program] = []
         self._drag_base: Optional[Program] = None
         self._drag_trigger: Optional[MouseTrigger] = None
+        #: The locations the drag in flight may rewrite (its zone's).
+        self._drag_locations: Optional[FrozenSet[Loc]] = None
         self._drag_key: Optional[Tuple[int, str]] = None
         self._drag_offsets: Optional[Tuple[float, float]] = None
         self._last_result: Optional[TriggerResult] = None
@@ -177,6 +179,7 @@ class LiveSession:
         trigger = self.check_drag(shape_index, zone_name)
         self._drag_base = self.program
         self._drag_trigger = trigger
+        self._drag_locations = trigger.assignment.location_set
         self._drag_key = (shape_index, zone_name)
         self._drag_offsets = None
         self._last_result = None
@@ -202,7 +205,8 @@ class LiveSession:
                 step_change = step_change.union(self.program.last_change)
             with self.pipeline.transaction():
                 self.pipeline.replace_program(program, step_change)
-                effective = self.pipeline.run_stage(step_change)
+                effective = self.pipeline.run_stage(step_change,
+                                                    self._drag_locations)
             self._gesture_change = self._gesture_change.union(effective)
         self._drag_offsets = (dx, dy)
         self._last_result = result
@@ -230,6 +234,7 @@ class LiveSession:
     def _clear_gesture(self) -> None:
         self._drag_base = None
         self._drag_trigger = None
+        self._drag_locations = None
         self._drag_key = None
         self._drag_offsets = None
         self._gesture_change = EMPTY_CHANGE

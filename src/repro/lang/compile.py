@@ -19,47 +19,78 @@ and check a predicate vector":
   -fresh`` node constructions mirroring ``_rebuild`` statement for
   statement, sharing every untouched subtree by identity.
 
+**Plans.**  A drag moves the locations of one shape assignment, so most
+of a recording cannot change on a given step.  A *plan* specializes the
+recording for one moved set D — the recording's trace locations whose
+value differs, bit for bit, from the ρ it was recorded under
+(:meth:`~repro.lang.incremental.EvalCache.moved`; bits, because a zero
+whose sign flips can change what a trace computes).  Only the trace nodes
+that read a location in D (the *cone*) are computed; every other operand
+is the constant it was when recorded.  Only the guards and partials in the
+cone are checked; the rest hold as recorded.  The output rebuild visits
+only the spine above the numbers the cone feeds, and every other node is
+returned by identity, as ``_rebuild`` returns it.  A recorded NaN number
+is the exception: ``_rebuild``'s ``==`` never matches it, so both tiers
+build it afresh on every replay, and so does every plan.  A plan answers
+every ρ whose moved set its own covers.  Without a moved set,
+:func:`specialize` compiles the whole recording, the plan that covers
+every ρ.
+
 The trace, guard and partial statements form one flat main function.
 The output rebuild is flat too, except for output structure that repeats
 (tessellation's 80 polygons share one shape): a subtree whose structure
-occurs at least twice in the recording and takes at least
+occurs at least twice in the plan's spine and takes at least
 :data:`SHARED_MIN_STATEMENTS` rebuild statements is rebuilt by one call
 of a generated function per distinct structure, so :func:`compile`
 translates that structure once instead of once per occurrence.  The
 function body is exactly the statements the inline rebuild would be,
 over the occurrence's recorded nodes and its numbers' trace variables.
 
-**Equivalence discipline.**  The artifact is an optimization of the
+**Equivalence discipline.**  A plan is an optimization of the
 interpreted replay, never a semantic layer: the generated code replicates
 :func:`~repro.lang.ops.apply_numeric_op` float-for-float (including the
 ``arccos``/``arcsin`` domain checks that reject NaN, which bare
 ``math.acos`` would let through), charges the same evaluation-budget
-amount, and answers the same verdict — the new output, or ``None`` for
-"fall back to a full re-evaluation".  Any failure to compile or replay
-escalates to the interpreter; nothing is ever reused wrongly
+amount — every guard and partial of the recording, checked or not — and
+answers the same verdict: the new output, or ``None`` for "fall back to a
+full re-evaluation".  Any failure to compile or replay escalates to the
+interpreter; nothing is ever reused wrongly
 (``tests/test_compiled_equivalence.py`` locks this corpus-wide).
 
-**Lifecycle.**  Artifacts attach lazily to the :class:`EvalCache` they
-specialize (:func:`ensure_compiled`), so they ride along wherever the
-cache is shared — the serve layer's compile cache, ``seed_run``,
-snapshot restore — and die with it when a structural change forces a
-re-record.  A cache whose compilation failed is marked and never
-retried.  The pipeline specializes a recording only once an interpreted
-replay of it has held (:meth:`~repro.core.pipeline.SyncPipeline
+**Lifecycle.**  A recording keeps one plan, attached lazily to the
+:class:`EvalCache` it specializes (:func:`ensure_compiled`), so it rides
+along wherever the cache is shared — the serve layer's compile cache,
+``seed_run``, snapshot restore — and dies with it when a structural
+change forces a re-record.  The pipeline specializes only once an
+interpreted replay has held (:meth:`~repro.core.pipeline.SyncPipeline
 .eval_stage`), so a recording whose guards flip at once is never
-compiled.
+compiled.  It asks for a plan only on a drag step, for the dragged zone's
+locations, which every step of that gesture stays within; any other step
+(a value edit, a slider move, an undo) and any step the plan does not
+cover compile the whole recording, which replaces the plan.  A recording
+whose specialization failed is marked and never specialized again.
 
 >>> from repro.lang.incremental import record_evaluation
 >>> from repro.lang.program import parse_program
->>> program = parse_program("(def x 10) (svg [(rect 'red' x 20 30 x)])")
+>>> program = parse_program("(def x 10) (def y 50) (svg ["
+...                         "(rect 'red' x 20 30 x) (circle 'blue' y y 5)])")
 >>> output, cache = record_evaluation(program)
->>> artifact = ensure_compiled(cache)
->>> loc = program.user_locs()[0]
->>> moved = program.substitute({loc: 75.0})
->>> replayed = artifact.replay(moved.rho0)
->>> replayed is not None and replayed is not output
+>>> x, y = program.user_locs()[:2]
+>>> dragged = program.substitute({x: 75.0})
+>>> plan = ensure_compiled(cache, moved=cache.moved(dragged.rho0))
+>>> plan.moved == {x}               # only x moved: no circle statement
 True
->>> cache.compiled is artifact        # attached: compiled exactly once
+>>> circle = plan.replay(dragged.rho0).tail.tail.head.tail.head
+>>> circle is output.tail.tail.head.tail.head      # shared by identity
+True
+>>> further = dragged.substitute({x: 80.0})
+>>> cache.plan_for(further.rho0) is plan            # covered: reused
+True
+>>> other = dragged.substitute({y: 60.0})
+>>> cache.plan_for(other.rho0) is None              # y is not covered
+True
+>>> whole = ensure_compiled(cache, moved=cache.moved(other.rho0))
+>>> whole.moved is None and cache.plan is whole     # replaces the plan
 True
 """
 
@@ -67,12 +98,13 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .ast import Loc
 from .errors import LittleRuntimeError, ResourceExhausted
 from .eval import get_budget
-from .values import VCons, VNum, format_number
+from .ops import apply_numeric_op
+from .values import VCons, VNum, float_bits, format_number
 
 __all__ = ["CompileUnsupported", "CompiledEvaluation", "ensure_compiled",
            "specialize"]
@@ -173,12 +205,38 @@ class _SharedRebuild(_Statements):
         return f"o[{len(self.nodes) - 1}]"
 
 
+def _cone(nodes: List[object], moved: FrozenSet[Loc]) -> Set[int]:
+    """The ids of the trace nodes that read a location in ``moved``;
+    ``nodes`` lists each node after its arguments."""
+    cone: Set[int] = set()
+    add = cone.add
+    for node in nodes:
+        if type(node) is Loc:
+            if node in moved:
+                add(id(node))
+        else:
+            for arg in node.args:
+                if id(arg) in cone:
+                    add(id(node))
+                    break
+    return cone
+
+
 class _Codegen(_Statements):
     """Accumulates the main function's statements, and the shared rebuild
-    functions it calls, for one specialization."""
+    functions it calls, for one specialization: of the whole recording
+    when ``moved`` is ``None``, else the plan for that moved set."""
 
-    def __init__(self):
+    def __init__(self, cache, moved: Optional[FrozenSet[Loc]] = None):
         super().__init__()
+        self.cache = cache
+        self.moved = moved
+        #: Ids of the trace nodes that read a moved location, or ``None``
+        #: when every node does (the whole recording).  Every other node
+        #: is the constant it was when recorded (:meth:`recorded_value`).
+        self._cone = None if moved is None \
+            else _cone(cache.trace_nodes(), moved)
+        self._recorded: Dict[int, object] = {}
         self.locs: List[Loc] = []
         self.consts: List[object] = []
         self.objs: List[object] = []
@@ -203,7 +261,9 @@ class _Codegen(_Statements):
         """Pool a float/str constant.  Pooling (instead of source
         literals) keeps ``repr`` round-tripping — NaN, signed zeros,
         arbitrary strings — out of the generated source entirely."""
-        key = (type(value).__name__, value)
+        # Floats by their bits: 0.0 == -0.0 and nan != nan.
+        key = (float, float_bits(value)) if type(value) is float \
+            else (type(value), value)
         try:
             index = self._const_index.get(key)
         except TypeError:       # unhashable: pool without deduplication
@@ -227,10 +287,49 @@ class _Codegen(_Statements):
 
     # -- traces -> float expressions ------------------------------------------
 
+    def in_cone(self, trace) -> bool:
+        """Whether ``trace`` reads a moved location, so a replay must
+        compute it."""
+        return self._cone is None or id(trace) in self._cone
+
+    def recorded_value(self, trace):
+        """``ρt`` under the recording's ρ: the value, bit for bit, of a
+        node outside the cone on every replay the plan answers (its
+        locations hold their recorded values).  Evaluated once per node,
+        by ``apply_numeric_op`` as the interpreted replay does, without
+        recursion."""
+        values, rho = self._recorded, self.cache.rho
+        stack = [trace]
+        while stack:
+            node = stack[-1]
+            if id(node) in values:
+                stack.pop()
+            elif type(node) is Loc:
+                values[id(node)] = rho[node]
+                stack.pop()
+            else:
+                pending = [arg for arg in node.args
+                           if id(arg) not in values]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                stack.pop()
+                values[id(node)] = apply_numeric_op(
+                    node.op, [values[id(arg)] for arg in node.args])
+        return values[id(trace)]
+
     def trace_expr(self, trace) -> str:
         """The variable holding ``ρt`` for this trace node, emitting its
-        (deduplicated) computation.  Mirrors ``_trace_value``: one
-        evaluation per distinct node per step."""
+        (deduplicated) computation — or the pooled recorded value of a
+        node outside the cone.  Mirrors ``_trace_value``: one evaluation
+        per distinct node per step."""
+        cone = self._cone
+        if cone is not None and id(trace) not in cone:
+            ref = self._trace_var.get(id(trace))
+            if ref is None:
+                ref = self._trace_var[id(trace)] = \
+                    self.const_ref(self.recorded_value(trace))
+            return ref
         if type(trace) is Loc:
             index = self._loc_index.get(trace.ident)
             if index is None:
@@ -268,17 +367,26 @@ class _Codegen(_Statements):
     # -- guards -> the predicate vector ---------------------------------------
 
     def emit_guards(self, cache) -> None:
+        """One check per guard and one computation per partial that reads
+        a moved location; the rest hold, as they did when recorded."""
+        in_cone = self.in_cone
         for op, left, right, expected in cache.comparisons:
+            if not (in_cone(left) or in_cone(right)):
+                continue
             a = self.trace_expr(left)
             b = self.trace_expr(right)
             cond = f"({a} {'==' if op == '=' else op} {b})"
             self.emit(f"if not {cond}: return None" if expected
                       else f"if {cond}: return None")
         for trace, rendered in cache.tostrings:
+            if not in_cone(trace):
+                continue
             t = self.trace_expr(trace)
             self.emit(f"if _fmt({t}) != {self.const_ref(rendered)}: "
                       f"return None")
         for trace, pattern_value, expected in cache.num_matches:
+            if not in_cone(trace):
+                continue
             t = self.trace_expr(trace)
             pattern = self.const_ref(pattern_value)
             self.emit(f"if {t} != {pattern}: return None" if expected
@@ -286,7 +394,15 @@ class _Codegen(_Statements):
         # A partial raises where the program would; one that also feeds
         # the output or a guard is already emitted, so it adds nothing.
         for trace in cache.partials:
-            self.trace_expr(trace)
+            if in_cone(trace):
+                self.trace_expr(trace)
+
+    def rebuilds(self, number) -> bool:
+        """Whether a replay can answer ``number`` with a fresh node: its
+        trace reads a moved location, or its value is NaN, which
+        ``_rebuild``'s ``==`` never matches, so both tiers rebuild it on
+        every replay."""
+        return self.in_cone(number.trace) or number.value != number.value
 
     # -- output rebuild ---------------------------------------------------------
 
@@ -299,9 +415,12 @@ class _Codegen(_Statements):
         identity is walked once, so only its own key counts its repeats.
         That changes no decision: the cons is larger than anything under
         it and repeats too, so it is shared in their place (outermost
-        wins)."""
+        wins).  A number the replay cannot change (:meth:`rebuilds`)
+        counts as no number: the rebuild returns it as recorded."""
         kind = type(value)
         if kind is VNum:
+            if not self.rebuilds(value):
+                return _NO_NUMBER
             key = _NUMBER
         elif kind is VCons:
             key = self._node_keys.get(id(value))
@@ -329,8 +448,8 @@ class _Codegen(_Statements):
         """Emit the rebuild of one recorded output node into ``out`` (this
         main function, or a :class:`_SharedRebuild` body), returning the
         variable holding the rebuilt value — or ``None`` for a subtree
-        with no numeric leaf, which ``_rebuild`` provably returns as-is
-        (zero statements, shared by identity).
+        with no numeric leaf the replay can change, which ``_rebuild``
+        provably returns as-is (zero statements, shared by identity).
 
         In the main function, a subtree whose structure repeats (at least
         two occurrences, at least :data:`SHARED_MIN_STATEMENTS` rebuild
@@ -340,6 +459,8 @@ class _Codegen(_Statements):
         walked the output."""
         kind = type(value)
         if kind is VNum:
+            if not self.rebuilds(value):
+                return None
             t = out.number_ref(value.trace)
             o = out.node_ref(value)
             var = out.new_var()
@@ -397,7 +518,8 @@ class _Codegen(_Statements):
 
     # -- assembly ----------------------------------------------------------------
 
-    def build(self, cache) -> "CompiledEvaluation":
+    def build(self) -> "CompiledEvaluation":
+        cache = self.cache
         self.emit_guards(cache)
         self.shape_key(cache.output)
         root = self.visit_value(cache.output, self)
@@ -416,21 +538,28 @@ class _Codegen(_Statements):
             "_neg": operator.neg,
         }
         exec(compile(source, "<repro.lang.compile>", "exec"), namespace)
+        main = namespace["_specialized"]
+        # Every name the generated functions read is a parameter or a
+        # default argument.  Emptying their globals breaks the cycle
+        # through them, so a dropped plan is freed by reference counting.
+        namespace.clear()
         guard_charge = (len(cache.comparisons) + len(cache.tostrings)
                         + len(cache.num_matches) + len(cache.partials))
         return CompiledEvaluation(
-            namespace["_specialized"], guard_charge,
-            len(self.lines) + self.function_statements)
+            main, guard_charge,
+            len(self.lines) + self.function_statements, self.moved)
 
 
 class CompiledEvaluation:
-    """One specialized drag-step artifact: ``replay(ρ)`` answers exactly
-    what :func:`~repro.lang.incremental.reevaluate` would — the rebuilt
-    output, or ``None`` to escalate — only compiled."""
+    """One specialized drag-step artifact, a *plan*: ``replay(ρ)`` answers
+    exactly what :func:`~repro.lang.incremental.reevaluate` would — the
+    rebuilt output, or ``None`` to escalate — only compiled, for every ρ
+    whose moved set it :meth:`covers`."""
 
-    __slots__ = ("_fn", "guard_charge", "statements")
+    __slots__ = ("_fn", "guard_charge", "statements", "moved")
 
-    def __init__(self, fn, guard_charge: int, statements: int):
+    def __init__(self, fn, guard_charge: int, statements: int,
+                 moved: Optional[FrozenSet[Loc]] = None):
         self._fn = fn
         #: Fuel charged per replay: one step per recorded guard and
         #: partial, the same coarse accounting as the interpreted fast path.
@@ -439,14 +568,25 @@ class CompiledEvaluation:
         #: main function's statements plus each distinct shared rebuild
         #: function's, counted once however many calls it has.
         self.statements = statements
+        #: The moved set (locations) this plan was specialized for;
+        #: ``None`` for the whole recording.
+        self.moved = moved
+
+    def covers(self, moved: Optional[FrozenSet[Loc]]) -> bool:
+        """Whether this plan answers every ρ that moves only locations in
+        ``moved`` (``None``: any)."""
+        if self.moved is None:
+            return True
+        return moved is not None and self.moved.issuperset(moved)
 
     def replay(self, rho) -> Optional[object]:
         """Re-run the recorded evaluation under ``rho`` (the program's
-        location-keyed ρ0).  Returns the new output value — bit-identical
-        to the interpreted replay — or ``None`` when a guard flipped or
-        any evaluation error occurred (the caller escalates to a full
-        re-evaluation, which reproduces the interpreter's exact error
-        behavior).  An exhausted budget propagates, never masked."""
+        location-keyed ρ0), whose moved set this plan must cover.  Returns
+        the new output value — bit-identical to the interpreted replay —
+        or ``None`` when a guard flipped or any evaluation error occurred
+        (the caller escalates to a full re-evaluation, which reproduces
+        the interpreter's exact error behavior).  An exhausted budget
+        propagates, never masked."""
         budget = get_budget()
         if budget is not None:
             # Charged before the try, like reevaluate: ResourceExhausted
@@ -466,44 +606,56 @@ class CompiledEvaluation:
             return None
 
 
-def specialize(cache) -> CompiledEvaluation:
-    """Lower one recorded evaluation into a :class:`CompiledEvaluation`.
+def specialize(cache, moved: Optional[FrozenSet[Loc]] = None
+               ) -> CompiledEvaluation:
+    """Lower one recorded evaluation into a :class:`CompiledEvaluation`:
+    the plan for the moved set ``moved`` (locations, as
+    :meth:`~repro.lang.incremental.EvalCache.moved` returns), or the whole
+    recording when ``moved`` is ``None``.
 
     Raises :class:`CompileUnsupported` (or any codegen error) when the
     recording cannot be specialized; use :func:`ensure_compiled` for the
-    attach-once, fail-once lifecycle.
+    attach, reuse and fail-once lifecycle.
     """
-    return _Codegen().build(cache)
+    return _Codegen(cache, moved).build()
 
 
-def ensure_compiled(cache, probe=None) -> Optional[CompiledEvaluation]:
-    """The artifact for ``cache``, compiling (and attaching) it on first
-    use; ``None`` when this cache cannot be specialized.
+def ensure_compiled(cache, probe=None, moved: Optional[FrozenSet[Loc]] = None
+                    ) -> Optional[CompiledEvaluation]:
+    """The plan of ``cache`` that covers the moved set ``moved`` — the one
+    attached if it does, else a new one, compiled and attached in its
+    place — or ``None`` when the recording cannot be specialized.
+
+    A recording's first plan is specialized for ``moved``; without
+    ``moved``, and once a plan is attached that does not cover it, the
+    new plan is the whole recording, which covers every later step.
 
     ``probe(event)``, if given, observes the lifecycle — ``"attempt"``
     before compiling (the serve layer's ``compile.specialize`` fault
     point fires here), then ``"compiled"`` or ``"failed"``.  A failed
-    specialization is remembered on the cache and never retried; the
-    caller keeps the interpreted replay.  Caches are shared read-mostly
-    across sessions (the serve compile cache): concurrent first calls
-    may both compile, and either identical artifact winning the write is
-    fine.
+    specialization is remembered on the cache and the recording never
+    specialized again; a plan already attached still answers what it
+    covers, and the interpreted replay the rest.  Caches are shared
+    read-mostly across sessions (the serve compile cache): concurrent
+    calls may both compile, and either plan winning the write is fine.
     """
-    compiled = cache.compiled
-    if compiled is not None:
-        return compiled
+    plan = cache.plan
+    if plan is not None:
+        if plan.covers(moved):
+            return plan
+        moved = None
     if cache.compile_failed:
         return None
     try:
         if probe is not None:
             probe("attempt")
-        compiled = specialize(cache)
+        plan = specialize(cache, moved)
     except Exception:
         cache.compile_failed = True
         if probe is not None:
             probe("failed")
         return None
-    cache.compiled = compiled
+    cache.plan = plan
     if probe is not None:
         probe("compiled")
-    return compiled
+    return plan

@@ -33,13 +33,16 @@ conservative everywhere control flow can observe a number.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .ast import Loc
 from .errors import LittleRuntimeError
 from .eval import get_budget, get_recorder, set_recorder
 from .ops import apply_numeric_op
-from .values import VCons, VNum, Value, format_number
+from .values import VCons, VNum, Value, float_bits, format_number
+from ..trace.trace import postorder
+
+_MISSING = object()
 
 __all__ = ["EvalCache", "record_evaluation", "reevaluate"]
 
@@ -67,22 +70,86 @@ class EvalCache:
     partial operation evaluates."""
 
     __slots__ = ("output", "comparisons", "tostrings", "num_matches",
-                 "partials", "compiled", "compile_failed")
+                 "partials", "rho", "plan", "compile_failed", "_nodes",
+                 "_locations")
 
-    def __init__(self, output: Value, recorder: Recorder):
+    def __init__(self, output: Value, recorder: Recorder,
+                 rho: Dict[Loc, float]):
         self.output = output
         self.comparisons = recorder.comparisons
         self.tostrings = recorder.tostrings
         self.num_matches = recorder.num_matches
         self.partials = recorder.partials
-        #: Lazily attached :class:`~repro.lang.compile.CompiledEvaluation`
-        #: (:func:`~repro.lang.compile.ensure_compiled`).  Lives and dies
-        #: with this recording: a guard flip or structural change replaces
-        #: the whole cache, artifact included.  ``compile_failed`` marks a
-        #: recording whose specialization failed — never retried; the
-        #: interpreted replay below stays the fast path.
-        self.compiled = None
+        #: The ρ the recording was made under (its program's ρ0): a trace
+        #: whose locations all hold these values, bit for bit, evaluates
+        #: to its recorded value.
+        self.rho = rho
+        #: The compiled plan (:func:`~repro.lang.compile.ensure_compiled`):
+        #: specialized for one moved set (:meth:`moved`), or for the whole
+        #: recording.  It lives and dies with this recording: a guard flip
+        #: or structural change replaces the whole cache, plan included.
+        #: ``compile_failed`` marks a recording whose specialization
+        #: failed: it is never specialized again, and the interpreted
+        #: replay below answers every step the plan does not cover.
+        self.plan = None
         self.compile_failed = False
+        self._nodes: Optional[List[object]] = None
+        self._locations: Optional[Tuple[Tuple[Loc, object], ...]] = None
+
+    def trace_nodes(self) -> List[object]:
+        """The distinct nodes of every guard's, partial's and output
+        number's trace, each after its arguments (built once)."""
+        nodes = self._nodes
+        if nodes is None:
+            roots = [trace for _op, left, right, _expected in self.comparisons
+                     for trace in (left, right)]
+            roots += [trace for trace, _rendered in self.tostrings]
+            roots += [trace for trace, _value, _expected in self.num_matches]
+            roots += self.partials
+            seen = set()
+            stack = [self.output]
+            while stack:
+                value = stack.pop()
+                kind = type(value)
+                if kind is VNum:
+                    roots.append(value.trace)
+                elif kind is VCons and id(value) not in seen:
+                    seen.add(id(value))
+                    stack.append(value.tail)
+                    stack.append(value.head)
+            nodes = self._nodes = postorder(roots)
+        return nodes
+
+    def moved(self, rho: Dict[Loc, float]) -> FrozenSet[Loc]:
+        """The moved set D of ``rho``: the recording's trace locations
+        whose value differs, bit for bit, from :attr:`rho` (a
+        location ``rho`` lacks counts as moved).  Bits, not ``==``: a zero
+        whose sign flips can change what a trace computes from it."""
+        locations = self._locations
+        if locations is None:
+            recorded = self.rho
+            locations = self._locations = tuple(
+                (node, recorded.get(node, _MISSING))
+                for node in self.trace_nodes() if type(node) is Loc)
+        get = rho.get
+        moved = []
+        for loc, old in locations:
+            new = get(loc)
+            # ρ0 copies keep the float objects of the values they keep.
+            if new is not old and not (
+                    type(new) is float and type(old) is float
+                    and float_bits(new) == float_bits(old)):
+                moved.append(loc)
+        return frozenset(moved)
+
+    def plan_for(self, rho: Dict[Loc, float]):
+        """The compiled plan if it answers ``rho`` (its moved set covers
+        ``rho``'s), else ``None``."""
+        plan = self.plan
+        if plan is not None and plan.moved is not None \
+                and not plan.covers(self.moved(rho)):
+            return None
+        return plan
 
 
 def record_evaluation(program) -> Tuple[Value, EvalCache]:
@@ -94,7 +161,7 @@ def record_evaluation(program) -> Tuple[Value, EvalCache]:
         output = program.evaluate()
     finally:
         set_recorder(previous)
-    return output, EvalCache(output, recorder)
+    return output, EvalCache(output, recorder, program.rho0)
 
 
 def _trace_value(trace, rho: Dict[int, float], memo: Dict[int, float]

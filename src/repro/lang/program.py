@@ -159,7 +159,10 @@ class Program:
         # above) — the change set downstream stages key on.
         program.last_change = ChangeSet.of(replaced)
         program.rho0 = dict(self.rho0)
-        program.rho0.update(effective)
+        if replaced:
+            # The rewritten values only, so ρ0 stays what the literals say:
+            # a no-op entry can still differ in bits (-0.0 for 0.0).
+            program.rho0.update(changed)
         new_index = dict(index)
         new_index.update(replaced)
         program._num_index = new_index

@@ -7,12 +7,15 @@ Numbers carry traces; every other value is traceless.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .ast import Expr, Pattern
 from .errors import SvgError
-from ..trace.trace import Trace
+
+if TYPE_CHECKING:       # repro.trace imports this package: no cycle at run time
+    from ..trace.trace import Trace
 
 
 class VNum:
@@ -137,6 +140,11 @@ def value_equal(left: Value, right: Value) -> bool:
     if isinstance(left, VClosure) and isinstance(right, VClosure):
         return left is right
     return False
+
+
+#: A float's IEEE 754 bits.  Unlike ``==``, they tell -0.0 from 0.0 and
+#: match a NaN with itself.
+float_bits = struct.Struct("<d").pack
 
 
 def format_number(n: float) -> str:

@@ -12,10 +12,11 @@ control-flow guards of :mod:`repro.lang.incremental`).  Everything stored
 is read-only under sharing: ``Program.substitute`` copies, ``reevaluate``
 only reads the guard list, and each session's pipeline replaces — never
 mutates — the cache entry's objects.  The one sanctioned exception: the
-shared :class:`~repro.lang.incremental.EvalCache` lazily carries the
-compiled drag artifact (:func:`repro.lang.compile.ensure_compiled`), so
-the first session to specialize a recording pays for every later session
-— and for rehydrations under LRU pressure — that adopts the same seed.
+shared :class:`~repro.lang.incremental.EvalCache` lazily carries its
+compiled plan (:func:`repro.lang.compile.ensure_compiled`), so the first
+session to specialize it pays for every later session — and for
+rehydrations under LRU pressure — that adopts the same seed and moves
+what it covers.
 """
 
 from __future__ import annotations

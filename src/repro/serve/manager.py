@@ -155,7 +155,7 @@ class SessionManager:
         self.evict_failures = 0
         #: Failed last-good snapshot refreshes (session kept the older one).
         self.snapshot_failures = 0
-        #: Drag hot paths specialized to compiled artifacts
+        #: Recordings specialized to compiled plans
         #: (:mod:`repro.lang.compile`), and specializations that failed —
         #: each failure pins its recording to the interpreted fast path
         #: (correctness is never at stake; only the speedup is lost).

@@ -11,7 +11,8 @@ step; plus targeted cases for each escalation rule (guard flip, compile
 failure, structural invalidation, injected specialization faults) and
 for the artifact's snapshot/seed lifecycle; and, recording by recording,
 the replay contract itself: the same nodes shared with the recording and
-the same number bits as ``reevaluate``, from artifacts of bounded size.
+the same number bits as ``reevaluate``, from artifacts of bounded size —
+for the whole recording and for the plan of each moved set.
 
 Sharing one parsed :class:`~repro.lang.program.Program` between the two
 sessions is what makes the signatures comparable (location idents are
@@ -20,21 +21,21 @@ substitution, and each session records its own :class:`EvalCache`.
 """
 
 import random
-import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.lang.compile as compile_module
+from repro.bench.specialization import first_zone_rho, same_replay
+from repro.core import SyncPipeline
 from repro.editor import LiveSession
 from repro.examples import example_names, example_source
 from repro.lang import parse_program
 from repro.lang.compile import CompileUnsupported, ensure_compiled, specialize
 from repro.lang.errors import LittleError, ResourceExhausted
-from repro.lang.eval import EvalBudget
+from repro.lang.eval import EvalBudget, budget_scope
 from repro.lang.incremental import record_evaluation, reevaluate
-from repro.lang.values import VCons, VNum
 from repro.serve.faults import FaultPlan, InjectedFault, fail_point
 from repro.trace.trace import trace_key
 
@@ -160,18 +161,18 @@ def test_guard_flip_falls_back_and_respecializes():
     session.start_drag(*key)
     session.drag(7.0, 3.0)          # guards hold: artifact built
     first_cache = session.pipeline._eval_cache
-    assert first_cache.compiled is not None
+    assert first_cache.plan is not None
     session.release()
     # Moving the box-count slider flips range's comparison guards.
     (n_loc, slider), = session.sliders.items()
     session.set_slider(n_loc, slider.value - 4.0)
     second_cache = session.pipeline._eval_cache
     assert second_cache is not first_cache      # full re-record happened
-    assert second_cache.compiled is None        # not yet re-specialized
+    assert second_cache.plan is None            # not yet re-specialized
     key = sorted(session.triggers)[0]
     session.start_drag(*key)
     session.drag(5.0, 5.0)          # held replay specializes the new cache
-    assert session.pipeline._eval_cache.compiled is not None
+    assert session.pipeline._eval_cache.plan is not None
     session.release()
     fresh = LiveSession(session.source(), compiled=False)
     assert fresh.export_svg(include_hidden=True) == \
@@ -183,7 +184,7 @@ def test_compile_failure_pins_interpreter(monkeypatch):
     the drag keeps working through the interpreter, byte-identically."""
     calls = []
 
-    def exploding(cache):
+    def exploding(cache, moved=None):
         calls.append(cache)
         raise CompileUnsupported("injected")
 
@@ -198,7 +199,7 @@ def test_compile_failure_pins_interpreter(monkeypatch):
             session.drag(5.0 * (step + 1), 2.0)
         assert_lockstep(interp, compiled)
     cache = compiled.pipeline._eval_cache
-    assert cache.compile_failed and cache.compiled is None
+    assert cache.compile_failed and cache.plan is None
     assert len(calls) == 1          # fail once, never retried
     for session in (interp, compiled):
         session.release()
@@ -243,7 +244,7 @@ def test_structural_edit_invalidates_artifact():
     session.drag(9.0, 3.0)
     session.release()
     old_cache = session.pipeline._eval_cache
-    assert old_cache.compiled is not None
+    assert old_cache.plan is not None
     session.edit_source(session.source() +
                         "\n; structurally different program")
     # Comment-only text is IDENTITY; force a real structural edit too.
@@ -253,7 +254,7 @@ def test_structural_edit_invalidates_artifact():
         " (rect 'lightblue' xi y0 w h))))\n"
         "(svg (append (map boxi (zeroTo 3!)) [(circle 'red' 300 300 20)]))")
     new_cache = session.pipeline._eval_cache
-    assert new_cache is not old_cache and new_cache.compiled is None
+    assert new_cache is not old_cache and new_cache.plan is None
     key = sorted(session.triggers)[0]
     session.start_drag(*key)
     session.drag(4.0, 4.0)
@@ -304,7 +305,7 @@ def test_snapshot_carried_artifact_skips_respecializing():
     # The shared cache — artifact included — survived the round trip:
     # rehydration under LRU pressure re-specializes nothing.
     assert restored.pipeline._eval_cache is cache
-    assert cache.compiled is artifact
+    assert cache.plan is artifact
     key = sorted(restored.triggers)[0]
     restored.start_drag(*key)
     restored.drag(6.0, 2.0)
@@ -319,9 +320,9 @@ def test_artifact_shared_across_sessions_compiles_once(monkeypatch):
     calls = []
     real = compile_module.specialize
 
-    def counting(cache):
+    def counting(cache, moved=None):
         calls.append(cache)
-        return real(cache)
+        return real(cache, moved)
 
     monkeypatch.setattr(compile_module, "specialize", counting)
     source = example_source("three_boxes")
@@ -349,7 +350,7 @@ def test_pipeline_pin_beats_knob():
     session.start_drag(*key)
     session.drag(5.0, 5.0)
     session.release()
-    assert session.pipeline._eval_cache.compiled is None
+    assert session.pipeline._eval_cache.plan is None
 
 
 @pytest.mark.parametrize("name", ["color_picker", "sliders"])
@@ -442,32 +443,11 @@ def corpus_artifacts():
     return artifacts
 
 
-def number_bits(value):
-    """A number's exact identity: its type and, for a float, its bits
-    (so -0.0 and 0.0, or two NaN payloads, differ)."""
-    if type(value) is float:
-        return float, struct.pack("<d", value)
-    return type(value), value
-
-
 def assert_same_replay(recorded, compiled, interpreted):
-    """Walk both replays beside the recording: the same node kinds, the
-    same nodes shared with the recording by identity, and in fresh nodes
-    the same numbers bit for bit over the recording's trace objects."""
-    stack = [(recorded, compiled, interpreted)]
-    while stack:
-        old, a, b = stack.pop()
-        assert (a is old) == (b is old)
-        if a is old:
-            continue
-        assert type(a) is type(b) is type(old)
-        if type(a) is VNum:
-            assert number_bits(a.value) == number_bits(b.value)
-            assert a.trace is old.trace and b.trace is old.trace
-        else:
-            assert type(a) is VCons, "only numbers and conses are rebuilt"
-            stack.append((old.head, a.head, b.head))
-            stack.append((old.tail, a.tail, b.tail))
+    """Both replays share the same nodes with the recording by identity,
+    and agree elsewhere in node kinds and in number bits (so -0.0 and 0.0,
+    or two NaN payloads, differ) over the recording's trace objects."""
+    assert same_replay(recorded, compiled, interpreted)
 
 
 def perturbed_rhos(program, rng):
@@ -531,3 +511,245 @@ def test_repeated_structure_compiles_once(corpus_artifacts):
              for name, (_, _, artifact) in corpus_artifacts.items()}
     assert sum(sizes.values()) <= 24_000, sum(sizes.values())
     assert sizes["tessellation"] <= 1_600, sizes["tessellation"]
+
+
+# ---------------------------------------------------------------------------
+# Plans: one specialization per moved set
+# ---------------------------------------------------------------------------
+
+def assert_plan_replays_like_reevaluate(cache, rho):
+    """The plan for ``rho``'s moved set covers it and answers exactly what
+    ``reevaluate`` does."""
+    moved = cache.moved(rho)
+    plan = specialize(cache, moved)
+    assert plan.covers(moved) and plan.moved == moved
+    replayed = plan.replay(rho)
+    interpreted = reevaluate(cache, rho)
+    assert (replayed is None) == (interpreted is None)
+    if replayed is not None:
+        assert_same_replay(cache.output, replayed, interpreted)
+    return plan
+
+
+@pytest.mark.parametrize("name", example_names())
+def test_plan_replay_shares_nodes_like_reevaluate(corpus_artifacts, name):
+    """Every example, under perturbed ρ and with its first Active zone's
+    chosen locations moved alone: the plan for the moved set shares the
+    same nodes with the recording, and computes the same number bits, as
+    ``reevaluate`` — and the plan for the empty set returns the recording
+    itself."""
+    program, cache, _ = corpus_artifacts[name]
+    pipeline = SyncPipeline(program)
+    pipeline.run()
+    rhos = perturbed_rhos(program, random.Random(f"plans-{name}"))
+    for rho in rhos + [first_zone_rho(pipeline)]:
+        assert_plan_replays_like_reevaluate(cache, rho)
+    assert specialize(cache, frozenset()).replay(program.rho0) \
+        is cache.output
+
+
+def test_moved_set_compares_bits_not_values():
+    """A zero whose sign flips is a move: with ``z`` and ``w`` both moved
+    to -0.0 the number ``z + w`` is -0.0, and a plan that took ``z`` for
+    unmoved (0.0 == -0.0) would compute 0.0 instead."""
+    program = parse_program(
+        "(def z 0) (def w 5) (svg [(rect 'red' (+ z w) 20 30 40)])")
+    _, cache = record_evaluation(program)
+    z, w = program.user_locs()[:2]
+    rho = dict(program.rho0)
+    rho[z] = rho[w] = -0.0
+    assert cache.moved(rho) == {z, w}
+    assert_plan_replays_like_reevaluate(cache, rho)
+    stale = specialize(cache, frozenset({w})).replay(rho)
+    with pytest.raises(AssertionError):
+        assert_same_replay(cache.output, stale, reevaluate(cache, rho))
+    flipped_only = dict(program.rho0)
+    flipped_only[z] = -0.0
+    assert cache.moved(flipped_only) == {z}
+    assert_plan_replays_like_reevaluate(cache, flipped_only)
+
+
+#: ``x`` is inf - inf: the recording holds a NaN number.
+NAN_X = ("(def big (pow 10 200)) (def w 30) "
+         "(svg [(rect 'red' (- (* big big) (* big big)) 20 w 40)])")
+
+
+def test_recorded_nan_is_rebuilt_on_every_replay():
+    """``nan == nan`` is false, so ``_rebuild`` builds a NaN number afresh
+    on every replay, whatever moved; every plan does the same."""
+    program = parse_program(NAN_X)
+    assert 'x="nan"' in LiveSession(program=program).export_svg()
+    _, cache = record_evaluation(program)
+    w = next(loc for loc in program.user_locs()
+             if program.rho0[loc] == 30.0)
+    rho = dict(program.rho0)
+    rho[w] = 45.0
+    plan = ensure_compiled(cache, moved=cache.moved(rho))
+    assert plan.moved == {w}
+    for replayed_rho in (rho, program.rho0):
+        replayed = plan.replay(replayed_rho)
+        assert replayed is not cache.output     # the NaN is fresh
+        assert_same_replay(cache.output, replayed,
+                           reevaluate(cache, replayed_rho))
+    assert specialize(cache, frozenset()).replay(program.rho0) \
+        is not cache.output
+    interp, compiled = drive(NAN_X, random.Random("nan"))
+    assert_lockstep(interp, compiled)
+
+
+def two_zone_key(session, count):
+    """The first zone whose chosen assignment moves ``count`` locations."""
+    return next(key for key in sorted(session.triggers)
+                if len(session.assignments.chosen[key].location_set)
+                == count)
+
+
+def test_a_gesture_plans_for_its_zone_from_a_one_axis_start():
+    """A drag step plans for the dragged zone's locations, not only the
+    ones its sample moved: after a first sample along one axis, the
+    samples that move the other axis too, or put a coordinate back at its
+    recorded value, replay through the same plan, and nothing new is
+    specialized."""
+    events = []
+    base = parse_program(example_source("three_boxes"))
+    compiled = LiveSession(program=base, specialize_probe=events.append)
+    interp = LiveSession(program=base, compiled=False)
+    key = two_zone_key(interp, 2)
+    zone = interp.assignments.chosen[key].location_set
+    apply_both(interp, compiled, lambda s: s.start_drag(*key))
+    apply_both(interp, compiled, lambda s: s.drag(10.0, 0.0))
+    cache = compiled.pipeline._eval_cache
+    plan = cache.plan
+    assert len(cache.moved(compiled.program.rho0)) == 1
+    assert plan.moved == zone
+    for offsets in ((10.0, 10.0), (0.0, 10.0), (0.0, 0.0), (-4.0, 6.0)):
+        apply_both(interp, compiled, lambda s: s.drag(*offsets))
+        assert cache.plan_for(compiled.program.rho0) is plan
+    apply_both(interp, compiled, lambda s: s.release())
+    assert cache.plan is plan
+    assert events == ["attempt", "compiled"]
+
+
+TWO_SHAPES = ("(def x 10) (def y 50) "
+              "(svg [(rect 'red' x 20 30 40) (circle 'blue' y 60 5)])")
+
+
+def test_a_location_outside_the_plan_compiles_the_whole_recording():
+    """A ρ that moves a location the plan does not cover never replays
+    through it: the whole recording is compiled in its place, and answers
+    every ρ."""
+    program = parse_program(TWO_SHAPES)
+    _, cache = record_evaluation(program)
+    x, y = program.user_locs()[:2]
+    at_x = program.substitute({x: 15.0}).rho0
+    at_y = program.substitute({y: 70.0}).rho0
+    at_both = program.substitute({x: 15.0, y: 70.0}).rho0
+    plan_x = ensure_compiled(cache, moved=cache.moved(at_x))
+    assert plan_x.moved == {x} and cache.plan_for(at_x) is plan_x
+    assert cache.plan_for(at_y) is None
+    assert cache.plan_for(at_both) is None
+    whole = ensure_compiled(cache, moved=cache.moved(at_y))
+    assert whole.moved is None and cache.plan is whole
+    for rho in (at_x, at_y, at_both, program.rho0):
+        assert cache.plan_for(rho) is whole
+        assert_same_replay(cache.output, whole.replay(rho),
+                           reevaluate(cache, rho))
+
+
+def test_a_second_zone_never_replays_through_the_first_zones_plan():
+    """In a session: after one shape's gesture, dragging the other moves
+    locations outside the first plan.  Every step matches the interpreted
+    reference, and the whole recording replaces the first plan."""
+    events = []
+    base = parse_program(TWO_SHAPES)
+    compiled = LiveSession(program=base, specialize_probe=events.append)
+    interp = LiveSession(program=base, compiled=False)
+    plans = []
+    for shape in (0, 1, 0):
+        apply_both(interp, compiled,
+                   lambda s: s.start_drag(shape, "INTERIOR"))
+        for step in range(1, 4):
+            apply_both(interp, compiled,
+                       lambda s: s.drag(3.0 * step, 2.0 * step))
+        apply_both(interp, compiled, lambda s: s.release())
+        plans.append(compiled.pipeline._eval_cache.plan)
+    assert events == ["attempt", "compiled"] * 2
+    first, whole, again = plans
+    assert first.moved == \
+        compiled.assignments.chosen[(0, "INTERIOR")].location_set
+    assert whole.moved is None and again is whole
+
+
+def test_value_edits_compile_the_whole_recording():
+    """A value edit is no drag step: its first held replay compiles the
+    whole recording, which answers every later edit of any literal."""
+    events = []
+    base = parse_program(TWO_SHAPES)
+    compiled = LiveSession(program=base, specialize_probe=events.append)
+    interp = LiveSession(program=base, compiled=False)
+    x, y = base.user_locs()[:2]
+    for loc, value in ((x, 12.0), (y, 55.0), (x, 14.0)):
+        text = compiled.program.substitute({loc: value}).unparse()
+        apply_both(interp, compiled, lambda s: s.edit_source(text))
+        assert compiled.pipeline._eval_cache.plan.moved is None
+    assert events == ["attempt", "compiled"]
+
+
+def test_every_plan_charges_the_recordings_fuel():
+    """Budget parity per plan: whatever its moved set checks, a plan
+    charges one step per guard and partial of the whole recording, like
+    ``reevaluate``, and exhausts exactly where it does."""
+    program = parse_program(example_source("sine_wave_of_boxes"))
+    _, cache = record_evaluation(program)
+    charge = (len(cache.comparisons) + len(cache.tostrings)
+              + len(cache.num_matches) + len(cache.partials))
+    pipeline = SyncPipeline(program)
+    pipeline.run()
+    rhos = [first_zone_rho(pipeline), program.rho0] + perturbed_rhos(
+        program, random.Random("plan-fuel"))
+    for rho in rhos:
+        plan = specialize(cache, cache.moved(rho))
+        assert plan.guard_charge == charge
+        for replay in (plan.replay, lambda r: reevaluate(cache, r)):
+            with budget_scope(EvalBudget(max_fuel=charge)):
+                replay(rho)
+            with budget_scope(EvalBudget(max_fuel=charge - 1)):
+                with pytest.raises(ResourceExhausted):
+                    replay(rho)
+
+
+def test_specialize_fault_pins_the_recording_per_plan():
+    """The ``compile.specialize`` fault point fires on each plan's
+    attempt.  Armed after a first plan, it fails the next one: the
+    recording is never specialized again, the first plan still answers
+    the steps it covers, and the interpreter the rest, identically."""
+    faults = FaultPlan("compile.specialize:1")
+    armed = []
+    events = []
+
+    def probe(event):
+        events.append(event)
+        if event == "attempt" and armed:
+            fail_point(faults, "compile.specialize")
+
+    base = parse_program(TWO_SHAPES)
+    compiled = LiveSession(program=base, specialize_probe=probe)
+    interp = LiveSession(program=base, compiled=False)
+    apply_both(interp, compiled, lambda s: s.drag_zone(0, "INTERIOR",
+                                                       5.0, 3.0))
+    first = compiled.pipeline._eval_cache.plan
+    armed.append(True)
+    for shape in (1, 0):
+        apply_both(interp, compiled,
+                   lambda s: s.start_drag(shape, "INTERIOR"))
+        for step in range(1, 4):
+            apply_both(interp, compiled,
+                       lambda s: s.drag(4.0 * step, -2.0 * step))
+        apply_both(interp, compiled, lambda s: s.release())
+    apply_both(interp, compiled, lambda s: s.undo())
+    apply_both(interp, compiled, lambda s: s.undo())
+    cache = compiled.pipeline._eval_cache
+    assert cache.compile_failed and cache.plan is first
+    assert cache.plan_for(compiled.program.rho0) is first
+    assert events == ["attempt", "compiled", "attempt", "failed"]
+    assert faults.counts() == {"compile.specialize": 1}

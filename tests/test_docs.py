@@ -4,42 +4,42 @@ docstrings run as doctests, and relative links must resolve.
 ``README.md`` and ``docs/*.md`` embed Python-console sessions; this
 module extracts and runs them, so a behavior change that invalidates the
 docs fails the suite instead of silently rotting.  The same applies to
-the doctest examples on the public API of ``repro.core``, ``repro.serve``
-and friends.
+the doctest examples of every ``repro`` module that has them.
 """
 
 import doctest
 import importlib
 import pathlib
+import pkgutil
 import sys
 
 import pytest
+
+import repro
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 MARKDOWN_FILES = sorted(
     [REPO_ROOT / "README.md"] + list((REPO_ROOT / "docs").glob("*.md")))
 
-#: Public modules whose docstring examples must run (module, class and
-#: entry-point level docstrings alike — DocTestFinder walks them all).
-DOCTEST_MODULES = [
-    "repro.core.changeset",
-    "repro.core.pipeline",
-    "repro.core.run",
-    "repro.core.sliders",
-    "repro.lang.compile",
-    "repro.lang.diff",
-    "repro.lang.program",
-    "repro.serve",
-    "repro.serve.cache",
-    "repro.serve.faults",
-    "repro.serve.manager",
-    "repro.serve.persist",
-    "repro.serve.protocol",
-    "repro.serve.shard",
-    "repro.svg.importer",
-    "repro.svg.ingest",
-]
+
+def doctest_modules():
+    """Every ``repro`` module with a docstring example (module, class and
+    entry-point level docstrings alike — DocTestFinder walks them all),
+    found by walking the package, so a new example runs without being
+    listed.  ``repro.__main__`` runs the CLI when imported."""
+    finder = doctest.DocTestFinder(exclude_empty=True)
+    names = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        if any(test.examples for test in finder.find(module)):
+            names.append(info.name)
+    return names
+
+
+DOCTEST_MODULES = doctest_modules()
 
 
 def run_examples(test: doctest.DocTest) -> None:

@@ -538,7 +538,7 @@ class TestSessionRollback:
         session = LiveSession(DEAD_SQRT, compiled=compiled)
         session.start_drag(0, "INTERIOR")
         session.drag(-5.0, 0.0)
-        assert (session.pipeline._eval_cache.compiled is not None) \
+        assert (session.pipeline._eval_cache.plan is not None) \
             == compiled                     # the next step's tier
         before = session.source()
         with pytest.raises(LittleRuntimeError, match="sqrt"):
@@ -555,7 +555,7 @@ class TestSessionRollback:
         session = LiveSession(SLIDER_SQRT)
         session.drag_zone(0, "INTERIOR", 3.0, 2.0)
         cache = session.pipeline._eval_cache
-        assert cache.compiled is not None
+        assert cache.plan is not None
         return session, cache
 
     def test_rejected_edit_keeps_recording(self):
@@ -564,7 +564,7 @@ class TestSessionRollback:
         with pytest.raises(LittleError):
             session.edit_source("(def boom (sqrt (- 0 1)))\n" + before)
         assert session.pipeline._eval_cache is cache
-        assert cache.compiled is not None
+        assert cache.plan is not None
         assert session.source() == before
 
     def test_rejected_slider_move_keeps_recording(self):
@@ -573,7 +573,7 @@ class TestSessionRollback:
         with pytest.raises(LittleError):
             session.set_slider(next(iter(session.sliders)), 0.0)
         assert session.pipeline._eval_cache is cache
-        assert cache.compiled is not None
+        assert cache.plan is not None
         assert session.source() == before
         assert session.history == history
 

@@ -63,6 +63,16 @@ class TestIndexedSubstitution:
         for loc, value in rho.items():
             assert index[loc].value == value
 
+    def test_no_op_entry_keeps_the_literal_in_rho0(self):
+        """-0.0 == 0.0, so the entry is a no-op: the text and the change
+        set keep the literal, and so must ρ0, which the replays compare
+        by bits."""
+        program = parse_program("(def z 0) (svg [(rect 'red' z 20 30 40)])")
+        z = program.user_locs()[0]
+        updated = program.substitute({z: -0.0})
+        assert not updated.last_change
+        assert updated.rho0[z] is program.rho0[z]
+
     def test_unknown_locations_are_dropped(self, sine_program):
         from repro.lang.ast import Loc
         ghost = Loc(987654321)
