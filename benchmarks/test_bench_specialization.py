@@ -3,9 +3,11 @@
 A drag step's plan (:mod:`repro.lang.compile`) compiles only the trace
 nodes, guards, partials and output spine that the step's moved locations
 reach.  This table sets, for every corpus example, the plan for its first
-Active zone against the whole recording: statements generated and
-milliseconds to specialize.  It carries no timing gate; its one assertion
-is that each plan's replay matches ``reevaluate`` node for node.
+Active zone against the whole recording: statements generated,
+milliseconds to specialize, and the memory peak ``tracemalloc`` traces
+while one specialization runs.  It carries no timing or memory gate; its
+one assertion is that each plan's, and each whole recording's, replay
+matches ``reevaluate`` node for node.
 """
 
 from repro.bench import format_specialization_table, measure_specialization

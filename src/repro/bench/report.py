@@ -188,33 +188,47 @@ def format_edit_latency_table(rows) -> str:
 
 
 def format_specialization_table(rows) -> str:
-    """What the trace compiler generates and how long it takes, per
-    example: the whole recording against the first Active zone's plan
-    (statements, and ms best of 3), with the corpus totals."""
+    """What the trace compiler generates and what it costs, per example:
+    the whole recording against the first Active zone's plan (statements,
+    ms best of 3, and the traced memory peak of one specialization), with
+    the corpus totals and the corpus maximum of each column."""
     lines = [
         "Specialization: whole recording vs first-zone plan "
-        "(ms best of 3 on a fresh recording)",
+        "(ms: best of 3 on a fresh recording; MiB: traced peak of one, "
+        "in a pass of its own)",
         f"{'Example':28s}{'whole stmts':>12s}{'whole ms':>10s}"
-        f"{'plan stmts':>12s}{'plan ms':>10s}{'identical':>11s}",
+        f"{'whole MiB':>11s}{'plan stmts':>12s}{'plan ms':>10s}"
+        f"{'plan MiB':>10s}{'identical':>11s}",
     ]
 
-    def line(name, whole_statements, whole_ms, plan_statements, plan_ms,
-             identical):
+    def line(name, whole_statements, whole_ms, whole_mib, plan_statements,
+             plan_ms, plan_mib, identical):
         lines.append(
             f"{name:28s}{whole_statements:>12,d}{whole_ms:>10.1f}"
-            f"{plan_statements:>12,d}{plan_ms:>10.1f}"
-            f"{'yes' if identical else 'NO':>11s}")
+            f"{whole_mib:>11s}{plan_statements:>12,d}{plan_ms:>10.1f}"
+            f"{plan_mib:>10s}{identical:>11s}".rstrip())
+
+    def yes(identical):
+        return "yes" if identical else "NO"
 
     for row in rows:
         line(row.name, row.whole_statements, row.whole_ms,
-             row.plan_statements, row.plan_ms, row.identical)
+             f"{row.whole_peak_mib:.2f}", row.plan_statements, row.plan_ms,
+             f"{row.plan_peak_mib:.2f}", yes(row.identical))
     if rows:
         line(f"corpus ({len(rows)})",
              sum(row.whole_statements for row in rows),
-             sum(row.whole_ms for row in rows),
+             sum(row.whole_ms for row in rows), "",
              sum(row.plan_statements for row in rows),
-             sum(row.plan_ms for row in rows),
-             all(row.identical for row in rows))
+             sum(row.plan_ms for row in rows), "",
+             yes(all(row.identical for row in rows)))
+        line("corpus max",
+             max(row.whole_statements for row in rows),
+             max(row.whole_ms for row in rows),
+             f"{max(row.whole_peak_mib for row in rows):.2f}",
+             max(row.plan_statements for row in rows),
+             max(row.plan_ms for row in rows),
+             f"{max(row.plan_peak_mib for row in rows):.2f}", "")
     return "\n".join(lines)
 
 

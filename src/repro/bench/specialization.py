@@ -3,8 +3,8 @@
 A drag moves the locations of one shape assignment, and the trace
 compiler (:mod:`repro.lang.compile`) specializes a *plan* for the
 locations a step moved instead of the whole recording.  This module
-measures, per corpus example, what the compiler generates and how long it
-takes for both:
+measures, per corpus example, what the compiler generates, how long it
+takes and how much memory it holds at once, for both:
 
 * **whole** — :func:`~repro.lang.compile.specialize` with no moved set;
 * **plan** — the moved set of the example's first Active zone, its chosen
@@ -13,15 +13,19 @@ takes for both:
   once, as the first held drag of a recording pays it.
 
 Each is timed on a fresh recording, best of ``repeats``, after a
-``gc.collect()``.  Statements count the main function plus each distinct
-shared rebuild function once.  Every plan's replay is checked node for
-node against :func:`~repro.lang.incremental.reevaluate`.
+``gc.collect()``.  Its memory is the peak :mod:`tracemalloc` traces while
+it runs on one more fresh recording, in a pass of its own (tracing slows
+the allocator, so no timed run is traced).  Statements count the main
+function plus each distinct shared rebuild function once.  The replays of
+the plan and of the whole recording are checked node for node against
+:func:`~repro.lang.incremental.reevaluate`.
 """
 
 from __future__ import annotations
 
 import gc
 import time
+import tracemalloc
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -41,9 +45,11 @@ class SpecializationRow:
     name: str
     whole_statements: int
     whole_ms: float
+    whole_peak_mib: float    # traced peak of one specialization
     plan_statements: int
     plan_ms: float
-    identical: bool          # plan replay == reevaluate, node for node
+    plan_peak_mib: float
+    identical: bool          # both replays == reevaluate, node for node
 
 
 def first_zone_rho(pipeline: SyncPipeline) -> Dict[Loc, float]:
@@ -99,6 +105,20 @@ def _best_ms(program, compile_one, repeats: int) -> float:
     return best * 1e3
 
 
+def _peak_mib(program, compile_one) -> float:
+    """The largest memory :mod:`tracemalloc` traces while ``compile_one``
+    runs on a fresh recording, the recording itself not counted."""
+    _, cache = record_evaluation(program)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        compile_one(cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
 def measure_specialization(names: Optional[Sequence[str]] = None,
                            repeats: int = 3) -> List[SpecializationRow]:
     """One row per example (default: the whole corpus)."""
@@ -111,13 +131,18 @@ def measure_specialization(names: Optional[Sequence[str]] = None,
         cache = pipeline._eval_cache
         whole = specialize(cache)
         plan = specialize(cache, cache.moved(rho))
+        interpreted = reevaluate(cache, rho)
+
+        def plan_one(fresh):
+            specialize(fresh, fresh.moved(rho))
+
         rows.append(SpecializationRow(
             name, whole.statements,
             _best_ms(program, specialize, repeats),
+            _peak_mib(program, specialize),
             plan.statements,
-            _best_ms(program,
-                     lambda fresh: specialize(fresh, fresh.moved(rho)),
-                     repeats),
-            same_replay(cache.output, plan.replay(rho),
-                        reevaluate(cache, rho))))
+            _best_ms(program, plan_one, repeats),
+            _peak_mib(program, plan_one),
+            same_replay(cache.output, plan.replay(rho), interpreted)
+            and same_replay(cache.output, whole.replay(rho), interpreted)))
     return rows

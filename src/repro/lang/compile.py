@@ -9,12 +9,17 @@ specializes one recorded evaluation (:class:`~repro.lang.incremental
 — so a drag step becomes "evaluate a few hundred local float expressions
 and check a predicate vector":
 
-* every distinct trace node becomes one assignment of an inlined float
-  expression (shared nodes are computed once, exactly like the
-  interpreter's per-step memo);
-* every recorded guard (comparison, ``toString``, numeric-literal match)
-  becomes one ``if ...: return None`` — the predicate vector — and every
-  recorded partial operation is computed, so one that raises escalates;
+* every distinct computation becomes one assignment of an inlined float
+  expression: a shared trace node is computed once, as the interpreter's
+  per-step memo computes it, and so is an operation the program
+  recomputed (the evaluator records a new node each time; us50_flag
+  recomputes each row's offset for every star), since the same operator
+  over the same operand variables or pooled constants answers the same
+  bits;
+* every distinct recorded guard (comparison, ``toString``,
+  numeric-literal match) becomes one ``if ...: return None`` — the
+  predicate vector — and every recorded partial operation is computed, so
+  one that raises escalates;
 * the output rebuild becomes a sequence of ``old-if-unchanged-else
   -fresh`` node constructions mirroring ``_rebuild`` statement for
   statement, sharing every untouched subtree by identity.
@@ -244,6 +249,10 @@ class _Codegen(_Statements):
         self._const_index: Dict[object, int] = {}
         self._obj_index: Dict[int, int] = {}
         self._trace_var: Dict[int, str] = {}
+        #: The variable of each distinct right-hand side emitted so far.
+        self._expr_var: Dict[str, str] = {}
+        #: Guard lines emitted so far; a repeated guard checks nothing new.
+        self._guards: Set[str] = set()
         #: Source of each shared rebuild function ``R[j]`` (one per
         #: distinct body text), and their statements in total.
         self.functions: List[str] = []
@@ -319,10 +328,13 @@ class _Codegen(_Statements):
         return values[id(trace)]
 
     def trace_expr(self, trace) -> str:
-        """The variable holding ``ρt`` for this trace node, emitting its
-        (deduplicated) computation — or the pooled recorded value of a
-        node outside the cone.  Mirrors ``_trace_value``: one evaluation
-        per distinct node per step."""
+        """The variable holding ``ρt`` for this trace node — or the pooled
+        recorded value of a node outside the cone.  Like ``_trace_value``,
+        each distinct node is evaluated once per step, and a node that
+        recomputes an earlier node's operation over the same operands (the
+        evaluator records a node per recomputation) reuses that
+        statement's variable: the same float operation over the same bits
+        answers the same bits."""
         cone = self._cone
         if cone is not None and id(trace) not in cone:
             ref = self._trace_var.get(id(trace))
@@ -359,16 +371,25 @@ class _Codegen(_Statements):
         else:
             raise CompileUnsupported(
                 f"operator {op!r}/{len(args)} has no specialized form")
-        var = self.new_var()
-        self.emit(f"{var} = {expr}")
+        var = self._expr_var.get(expr)
+        if var is None:
+            var = self._expr_var[expr] = self.new_var()
+            self.emit(f"{var} = {expr}")
         self._trace_var[id(trace)] = var
         return var
 
     # -- guards -> the predicate vector ---------------------------------------
 
+    def emit_guard(self, line: str) -> None:
+        """Emit one guard line unless it was emitted already."""
+        if line not in self._guards:
+            self._guards.add(line)
+            self.emit(line)
+
     def emit_guards(self, cache) -> None:
-        """One check per guard and one computation per partial that reads
-        a moved location; the rest hold, as they did when recorded."""
+        """One check per distinct guard and one computation per partial
+        that reads a moved location; the rest hold, as they did when
+        recorded."""
         in_cone = self.in_cone
         for op, left, right, expected in cache.comparisons:
             if not (in_cone(left) or in_cone(right)):
@@ -376,21 +397,21 @@ class _Codegen(_Statements):
             a = self.trace_expr(left)
             b = self.trace_expr(right)
             cond = f"({a} {'==' if op == '=' else op} {b})"
-            self.emit(f"if not {cond}: return None" if expected
-                      else f"if {cond}: return None")
+            self.emit_guard(f"if not {cond}: return None" if expected
+                            else f"if {cond}: return None")
         for trace, rendered in cache.tostrings:
             if not in_cone(trace):
                 continue
             t = self.trace_expr(trace)
-            self.emit(f"if _fmt({t}) != {self.const_ref(rendered)}: "
-                      f"return None")
+            self.emit_guard(f"if _fmt({t}) != {self.const_ref(rendered)}: "
+                            f"return None")
         for trace, pattern_value, expected in cache.num_matches:
             if not in_cone(trace):
                 continue
             t = self.trace_expr(trace)
             pattern = self.const_ref(pattern_value)
-            self.emit(f"if {t} != {pattern}: return None" if expected
-                      else f"if {t} == {pattern}: return None")
+            self.emit_guard(f"if {t} != {pattern}: return None" if expected
+                            else f"if {t} == {pattern}: return None")
         # A partial raises where the program would; one that also feeds
         # the output or a guard is already emitted, so it adds nothing.
         for trace in cache.partials:

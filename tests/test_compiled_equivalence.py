@@ -11,8 +11,10 @@ step; plus targeted cases for each escalation rule (guard flip, compile
 failure, structural invalidation, injected specialization faults) and
 for the artifact's snapshot/seed lifecycle; and, recording by recording,
 the replay contract itself: the same nodes shared with the recording and
-the same number bits as ``reevaluate``, from artifacts of bounded size —
-for the whole recording and for the plan of each moved set.
+the same number bits as ``reevaluate``, from artifacts of bounded size
+that compute each distinct right-hand side and check each distinct guard
+once — for the whole recording and for the plan of each moved set, over
+the examples and the ingested SVG corpus the client benchmark drags.
 
 Sharing one parsed :class:`~repro.lang.program.Program` between the two
 sessions is what makes the signatures comparable (location idents are
@@ -20,7 +22,10 @@ assigned at parse time) — and is safe: programs are immutable under
 substitution, and each session records its own :class:`EvalCache`.
 """
 
+import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,7 +41,9 @@ from repro.lang.compile import CompileUnsupported, ensure_compiled, specialize
 from repro.lang.errors import LittleError, ResourceExhausted
 from repro.lang.eval import EvalBudget, budget_scope
 from repro.lang.incremental import record_evaluation, reevaluate
+from repro.lang.values import VCons, VNum
 from repro.serve.faults import FaultPlan, InjectedFault, fail_point
+from repro.svg.ingest import ingest_text
 from repro.trace.trace import trace_key
 
 #: ``dead``'s square root feeds neither the output nor a guard; x below
@@ -427,19 +434,45 @@ def test_artifact_answers_match_interpreter_verdicts():
 # The replay contract, node by node: sharing, number bits, size
 # ---------------------------------------------------------------------------
 
+#: The SVG documents the client benchmark ingests and drags alongside the
+#: examples, named as its corpus names them.
+SVG_CORPUS = {f"svg:{path.name}": path for path in
+              sorted((Path(__file__).parent / "svg_corpus").glob("*.svg"))}
+
+#: Every program the replay-contract tests replay.
+REPLAYED = list(example_names()) + list(SVG_CORPUS)
+
+
+def recorded(source):
+    """A program's recording with its whole-recording specialization (or
+    the exception that refused it)."""
+    program = parse_program(source)
+    _, cache = record_evaluation(program)
+    try:
+        artifact = specialize(cache)
+    except CompileUnsupported as error:
+        artifact = error
+    return program, cache, artifact
+
+
 @pytest.fixture(scope="module")
 def corpus_artifacts():
-    """Every example's recording with its specialization (or the
-    exception that refused it)."""
-    artifacts = {}
-    for name in example_names():
-        program = parse_program(example_source(name))
-        _, cache = record_evaluation(program)
-        try:
-            artifact = specialize(cache)
-        except CompileUnsupported as error:
-            artifact = error
-        artifacts[name] = (program, cache, artifact)
+    """Every example's :func:`recorded` triple."""
+    return {name: recorded(example_source(name))
+            for name in example_names()}
+
+
+@pytest.fixture(scope="module")
+def replayed_artifacts(corpus_artifacts):
+    """:data:`REPLAYED`'s :func:`recorded` triples: the examples', and
+    each SVG document's, ingested as the client benchmark's corpus
+    ingests it (``ingest_text`` on the file's text)."""
+    artifacts = dict(corpus_artifacts)
+    for name, path in SVG_CORPUS.items():
+        result = ingest_text(path.read_text(encoding="utf-8"),
+                             name=path.name)
+        assert result.ok, result.diagnostic()
+        artifacts[name] = recorded(result.source)
     return artifacts
 
 
@@ -464,12 +497,13 @@ def perturbed_rhos(program, rng):
     return rhos
 
 
-@pytest.mark.parametrize("name", example_names())
-def test_replay_shares_nodes_like_reevaluate(corpus_artifacts, name):
+@pytest.mark.parametrize("name", REPLAYED)
+def test_replay_shares_nodes_like_reevaluate(replayed_artifacts, name):
     """``replay(ρ)`` answers what ``reevaluate(cache, ρ)`` does: the same
     verdict, the same nodes shared with the recording, the same numbers
-    bit for bit — for every example, under perturbed ρ."""
-    program, cache, artifact = corpus_artifacts[name]
+    bit for bit — for every example and SVG document, under perturbed
+    ρ."""
+    program, cache, artifact = replayed_artifacts[name]
     assert not isinstance(artifact, Exception), artifact
     rng = random.Random(f"sharing-{name}")
     for rho in perturbed_rhos(program, rng):
@@ -501,16 +535,132 @@ def test_unmoved_copy_of_a_repeated_shape_is_shared():
 
 def test_repeated_structure_compiles_once(corpus_artifacts):
     """Each repeated output structure is generated once, not once per
-    occurrence: the corpus's artifacts stay small, and every example
-    still specializes."""
+    occurrence, and each repeated computation once, not once per trace
+    node: the corpus's artifacts stay small, and every example still
+    specializes."""
     refused = {name: artifact for name, (_, _, artifact)
                in corpus_artifacts.items()
                if isinstance(artifact, Exception)}
     assert not refused
     sizes = {name: artifact.statements
              for name, (_, _, artifact) in corpus_artifacts.items()}
-    assert sum(sizes.values()) <= 24_000, sum(sizes.values())
-    assert sizes["tessellation"] <= 1_600, sizes["tessellation"]
+    assert sum(sizes.values()) <= 13_930, sum(sizes.values())
+    assert sizes["tessellation"] <= 400, sizes["tessellation"]
+    assert sizes["us50_flag"] <= 700, sizes["us50_flag"]
+
+
+def computations_and_guards(cache, moved):
+    """The main function's computed right-hand sides and its guard lines,
+    for one specialization.  Rebuild statements, which name a recorded
+    output node (``O[i]``) or call a shared rebuild (``R[j]``), are left
+    out: a node the output holds twice by identity is rebuilt once per
+    occurrence, as ``_rebuild`` rebuilds it."""
+    codegen = compile_module._Codegen(cache, moved)
+    codegen.build()
+    computations, guards = [], []
+    for line in codegen.lines:
+        if line.startswith("if "):
+            guards.append(line)
+        elif " = " in line:
+            right = line.split(" = ", 1)[1]
+            if "O[" not in right and "R[" not in right:
+                computations.append(right)
+    return computations, guards
+
+
+def repeats(lines):
+    return [line for line, count in Counter(lines).items() if count > 1]
+
+
+@pytest.mark.parametrize("name", REPLAYED)
+def test_each_computation_and_guard_is_emitted_once(replayed_artifacts,
+                                                    name):
+    """No two statements of the whole recording, or of the first Active
+    zone's plan, compute the same right-hand side (the same operator over
+    the same operand variables or pooled constants), and no guard line
+    repeats."""
+    program, cache, _ = replayed_artifacts[name]
+    pipeline = SyncPipeline(program)
+    pipeline.run()
+    for moved in (None, cache.moved(first_zone_rho(pipeline))):
+        computations, guards = computations_and_guards(cache, moved)
+        assert not repeats(computations), repeats(computations)
+        assert not repeats(guards), repeats(guards)
+
+
+def leaves(value):
+    """The numbers of an output value, in order."""
+    found, stack = [], [value]
+    while stack:
+        node = stack.pop()
+        if type(node) is VNum:
+            found.append(node.value)
+        elif type(node) is VCons:
+            stack.extend((node.tail, node.head))
+    return found
+
+
+def test_a_zeros_sign_keeps_two_computations_apart():
+    """``(* x 0)`` and ``(* x (neg 0))`` differ only in a zero's sign.  In
+    the plan for ``x`` and ``y`` both zeros are pooled constants, 0.0 and
+    -0.0, which compare equal; the products stay two statements, and with
+    ``x`` negative and ``y`` at -0.0 the sums answer -0.0 and 0.0 (fresh
+    nodes: the recorded sums are 5), as ``reevaluate`` does."""
+    program = parse_program(
+        "(def x 5) (def y 5) "
+        "(svg [(rect 'red' (+ (* x 0) y) (+ (* x (neg 0)) y) 30 40)])")
+    _, cache = record_evaluation(program)
+    x, y = program.user_locs()[:2]
+    rho = program.substitute({x: -3.0, y: -0.0}).rho0
+    for moved in (None, cache.moved(rho)):
+        replayed = specialize(cache, moved).replay(rho)
+        assert_same_replay(cache.output, replayed, reevaluate(cache, rho))
+        signs = [math.copysign(1.0, value) for value in leaves(replayed)
+                 if value == 0.0]
+        assert signs == [-1.0, 1.0]
+    assert sum(" * " in line for line in
+               computations_and_guards(cache, frozenset({x, y}))[0]) == 2
+
+
+#: ``scale`` divides by ``d`` for each shape: two trace nodes, one
+#: right-hand side.
+SCALED = ("(def d 2) (def scale (\\w (/ 60 w))) "
+          "(svg [(rect 'red' (scale d) 20 30 40) "
+          "(rect 'blue' 10 (scale d) 30 40)])")
+
+
+def test_a_merged_division_by_a_moved_zero_escalates():
+    """A division repeated across shapes is emitted once, and answers
+    ``None`` when its divisor moves to 0, as ``reevaluate`` does."""
+    program = parse_program(SCALED)
+    _, cache = record_evaluation(program)
+    d = next(loc for loc in program.user_locs() if program.rho0[loc] == 2.0)
+    for value in (4.0, 0.0):
+        rho = program.substitute({d: value}).rho0
+        interpreted = reevaluate(cache, rho)
+        assert (interpreted is None) == (value == 0.0)
+        for moved in (None, cache.moved(rho)):
+            assert sum(" / " in line for line in
+                       computations_and_guards(cache, moved)[0]) == 1
+            assert_same_replay(cache.output,
+                               specialize(cache, moved).replay(rho),
+                               interpreted)
+
+
+def test_a_number_held_twice_is_rebuilt_per_occurrence():
+    """Merging computations shares no output node ``_rebuild`` would not
+    share: a shape the output holds twice by identity is rebuilt into two
+    nodes, by the interpreted replay and by every plan."""
+    program = parse_program(
+        "(def x 10) (def box (rect 'red' x 20 30 40)) (svg [box box])")
+    _, cache = record_evaluation(program)
+    x = program.user_locs()[0]
+    rho = program.substitute({x: 15.0}).rho0
+    interpreted = reevaluate(cache, rho).tail.tail.head
+    assert interpreted.head is not interpreted.tail.head
+    for moved in (None, cache.moved(rho)):
+        replayed = specialize(cache, moved).replay(rho).tail.tail.head
+        assert replayed.head is not replayed.tail.head
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +681,14 @@ def assert_plan_replays_like_reevaluate(cache, rho):
     return plan
 
 
-@pytest.mark.parametrize("name", example_names())
-def test_plan_replay_shares_nodes_like_reevaluate(corpus_artifacts, name):
-    """Every example, under perturbed ρ and with its first Active zone's
-    chosen locations moved alone: the plan for the moved set shares the
-    same nodes with the recording, and computes the same number bits, as
-    ``reevaluate`` — and the plan for the empty set returns the recording
-    itself."""
-    program, cache, _ = corpus_artifacts[name]
+@pytest.mark.parametrize("name", REPLAYED)
+def test_plan_replay_shares_nodes_like_reevaluate(replayed_artifacts, name):
+    """Every example and SVG document, under perturbed ρ and with its
+    first Active zone's chosen locations moved alone: the plan for the
+    moved set shares the same nodes with the recording, and computes the
+    same number bits, as ``reevaluate`` — and the plan for the empty set
+    returns the recording itself."""
+    program, cache, _ = replayed_artifacts[name]
     pipeline = SyncPipeline(program)
     pipeline.run()
     rhos = perturbed_rhos(program, random.Random(f"plans-{name}"))
